@@ -24,9 +24,10 @@ FRACTION_SUM_TOL = 1e-9
 class ClassicalCycle:
     """Periodic schedule of (state, dwell duration) entries, states 1-based.
 
-    Every state 1..n must appear somewhere in the schedule and every duration
-    must be strictly positive. A state may be visited more than once per
-    period; dwell fractions are summed over all its visits.
+    Every state 1..n must appear somewhere in the schedule, every duration
+    must be strictly positive, and the period (their sum) must be finite. A
+    state may be visited more than once per period; dwell fractions are
+    summed over all its visits.
     """
 
     n: int
@@ -35,9 +36,12 @@ class ClassicalCycle:
     def __init__(self, n: int, schedule: Iterable[Sequence]):
         object.__setattr__(self, "n", int(n))
         entries = []
-        for entry in schedule:
+        for i, entry in enumerate(schedule):
             state, duration = entry
-            entries.append((int(state), float(duration)))
+            try:
+                entries.append((int(state), float(duration)))
+            except OverflowError:
+                raise ValidationError(f"schedule entry {i} overflows an int state or a float duration") from None
         object.__setattr__(self, "schedule", tuple(entries))
         if self.n < 1:
             raise ValidationError("cycle needs at least one state")
@@ -53,6 +57,15 @@ class ClassicalCycle:
         if len(seen) != self.n:
             missing = sorted(set(range(1, self.n + 1)) - seen)
             raise ValidationError(f"every state must appear in the schedule; missing {missing}")
+        # The period is an exact fsum in dwell_fractions and a running sum in
+        # the time lookups; either may overflow first.
+        with np.errstate(over="ignore"):
+            try:
+                finite = math.isfinite(math.fsum(d for _, d in self.schedule)) and math.isfinite(self.period)
+            except OverflowError:
+                finite = False
+        if not finite:
+            raise ValidationError("schedule period (the sum of the durations) is not finite")
 
     @cached_property
     def _boundaries(self) -> np.ndarray:

@@ -3,7 +3,9 @@
 Dropping idempotency and unit trace turns the trace rule into an unnormalized
 measure over perception sets. An algebra holds finitely many labeled atoms,
 each carrying a positive Hermitian operator; the operator of a set is the sum
-over its atoms, so disjoint-union additivity holds by construction. Dividing
+over its atoms. The measure is linear in that operator, so it is evaluated
+as a sum of per-atom expectations Re tr(A_i rho), and disjoint-union
+additivity holds exactly by construction. Dividing
 by the total measure (when it is usefully nonzero) recovers probabilities,
 and ratios of sub-measures give conditional probabilities.
 """
@@ -25,7 +27,7 @@ from .errors import (
     ZeroConditionMeasureError,
     ZeroTotalMeasureError,
 )
-from .matcore import DEFAULT_TOL, is_hermitian, matrix_from_rows, matrix_to_rows, trace
+from .matcore import DEFAULT_TOL, is_hermitian, matrix_from_rows, matrix_to_rows
 from .quantum import DensityMatrix, RealityMode, enforce_reality
 
 ZERO_MEASURE_TOL = 1e-12
@@ -63,9 +65,17 @@ class PerceptionAlgebra:
     Sets are subsets of the atom labels; the operator of a set is the sum of
     its atoms' operators. Atoms need not sum to the identity, so the total
     measure may differ from 1.
+
+    Measures are evaluated from the per-state expectation vector
+    e_i = Re tr(A_i rho), one O(n^2) contraction per atom. The algebra
+    memoizes that vector, with its correctly rounded total, in a single slot
+    keyed by the identity of the last state seen; the slot holds a strong
+    reference to that (immutable) state, so the key cannot be reused while it
+    is held. Repeated queries against one state then cost O(|S|) each, and
+    alternating between states recomputes the vector on every switch.
     """
 
-    __slots__ = ("_labels", "_atoms")
+    __slots__ = ("_labels", "_atoms", "_memo")
 
     def __init__(self, atoms: Sequence[tuple[str, PovOperator]]):
         labels = []
@@ -85,6 +95,7 @@ class PerceptionAlgebra:
             raise DimensionMismatchError(f"atom operators have mixed dims {sorted(dims)}")
         object.__setattr__(self, "_labels", tuple(labels))
         object.__setattr__(self, "_atoms", table)
+        object.__setattr__(self, "_memo", None)
 
     @classmethod
     def from_matrices(
@@ -110,6 +121,21 @@ class PerceptionAlgebra:
         except KeyError:
             raise UnknownLabelError(f"unknown atom label {label!r}") from None
 
+    def _expectations(self, rho: DensityMatrix) -> tuple[dict[str, float], float]:
+        """Per-atom expectations Re tr(A_i rho) by label, and their fsum total."""
+        memo = self._memo
+        if memo is not None and memo[0] is rho:
+            return memo[1], memo[2]
+        if self.dim != rho.dim:
+            raise DimensionMismatchError(f"algebra dim {self.dim} vs density dim {rho.dim}")
+        e = {label: float(np.einsum("ij,ji->", op.mat, rho.mat).real) for label, op in self._atoms.items()}
+        if not all(math.isfinite(x) for x in e.values()):
+            raise NonFiniteError("an atom expectation is not finite")
+        total = _fsum(e.values())
+        # One tuple assignment, so a concurrent reader sees either slot whole.
+        object.__setattr__(self, "_memo", (rho, e, total))
+        return e, total
+
     def __setattr__(self, name, value):
         raise AttributeError("PerceptionAlgebra is immutable")
 
@@ -117,42 +143,59 @@ class PerceptionAlgebra:
         return f"PerceptionAlgebra(atoms={list(self._labels)!r})"
 
 
-def _resolve_labels(alg: PerceptionAlgebra, s: Iterable[str]) -> tuple[str, ...]:
-    """Validate and deduplicate a label subset, preserving algebra order."""
+def _fsum(values: Iterable[float]) -> float:
+    """math.fsum of finite values, reading a sum beyond the float range as inf."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _resolve_labels(alg: PerceptionAlgebra, s: Iterable[str]) -> set[str]:
+    """Validate and deduplicate a label subset."""
     wanted = set()
     for label in s:
         label = str(label)
         if label not in alg._atoms:
             raise UnknownLabelError(f"unknown atom label {label!r}")
         wanted.add(label)
-    return tuple(label for label in alg.labels if label in wanted)
+    return wanted
 
 
 def union_operator(alg: PerceptionAlgebra, s: Iterable[str]) -> PovOperator:
     """Sum of the atom operators of ``s``; the empty set gives the zero operator."""
     labels = _resolve_labels(alg, s)
     total = np.zeros((alg.dim, alg.dim), dtype=complex)
-    for label in labels:
-        total = total + alg.atom(label).mat
+    for label in alg.labels:
+        if label in labels:
+            total = total + alg.atom(label).mat
     return PovOperator(total)
 
 
-def measure_of(alg: PerceptionAlgebra, s: Iterable[str], rho: DensityMatrix) -> float:
-    """Unnormalized measure of the set: Re tr(P(S) rho), clamped at 0."""
-    if alg.dim != rho.dim:
-        raise DimensionMismatchError(f"algebra dim {alg.dim} vs density dim {rho.dim}")
-    value = trace(union_operator(alg, s).mat @ rho.mat).real
+def _checked_measure(value: float) -> float:
+    if not math.isfinite(value):
+        raise NonFiniteError(f"measure {value!r} is not finite")
     if value < -MEASURE_SLACK:
         raise NumericalIntegrityError(f"measure {value!r} below 0 beyond {MEASURE_SLACK}")
     return max(value, 0.0)
 
 
+def measure_of(alg: PerceptionAlgebra, s: Iterable[str], rho: DensityMatrix) -> float:
+    """Unnormalized measure of the set: Re tr(P(S) rho), clamped at 0.
+
+    Evaluated as the correctly rounded sum of the atoms' expectations
+    Re tr(A_i rho) over S, read from the algebra's per-state expectation
+    vector (computed once per state and memoized in a single slot), so a
+    call costs O(|S|) once that vector exists and no operator is summed or
+    re-validated.
+    """
+    e, _ = alg._expectations(rho)
+    return _checked_measure(_fsum(e[label] for label in _resolve_labels(alg, s)))
+
+
 def total_measure(alg: PerceptionAlgebra, rho: DensityMatrix) -> float:
     """Measure of the full perception set (all atoms)."""
-    value = measure_of(alg, alg.labels, rho)
-    if not math.isfinite(value):
-        raise NonFiniteError("total measure is not finite")
-    return value
+    return _checked_measure(alg._expectations(rho)[1])
 
 
 def normalized_prob(alg: PerceptionAlgebra, s: Iterable[str], rho: DensityMatrix) -> float:
@@ -172,8 +215,8 @@ def conditional_prob(
     """Conditional probability measure(S') / measure(M') for S' inside M'."""
     s_labels = _resolve_labels(alg, s_sub)
     m_labels = _resolve_labels(alg, m_sub)
-    if not set(s_labels) <= set(m_labels):
-        extra = sorted(set(s_labels) - set(m_labels))
+    if not s_labels <= m_labels:
+        extra = sorted(s_labels - m_labels)
         raise NotSubsetError(f"set is not contained in the conditioning set; extra atoms {extra}")
     denom = measure_of(alg, m_labels, rho)
     if denom <= ZERO_MEASURE_TOL:

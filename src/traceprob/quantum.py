@@ -93,12 +93,18 @@ class DensityMatrix:
 def trace_prob(p: Projector, rho: DensityMatrix) -> float:
     """Probability of the set represented by ``p`` in state ``rho``: Re tr(p rho).
 
+    Evaluated as the O(n^2) contraction sum_ij p_ij rho_ji rather than an
+    O(n^3) matrix product. The contraction does not assume Hermiticity:
+    both operators are Hermitian only to within their tolerance, and the
+    Hermitian shortcut sum_ij p_ij conj(rho_ij) would be off by up to
+    n * tol.
+
     The trace of a projector against a density matrix is analytically real
     and in [0, 1]; violations beyond 1e-9 raise, smaller ones are clamped.
     """
     if p.dim != rho.dim:
         raise DimensionMismatchError(f"projector dim {p.dim} vs density dim {rho.dim}")
-    t = trace(p.mat @ rho.mat)
+    t = complex(np.einsum("ij,ji->", p.mat, rho.mat))
     if abs(t.imag) > PROB_SLACK:
         raise NumericalIntegrityError(f"trace imaginary part {t.imag:.3e} exceeds {PROB_SLACK}")
     value = t.real

@@ -44,12 +44,12 @@ class SystemSpec:
     mode: RealityMode
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_char_vector(value) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) > 0
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in value)
-    )
+    return isinstance(value, list) and len(value) > 0 and all(_is_int(x) for x in value)
 
 
 def _parse_matrix(value, where: str) -> np.ndarray:
@@ -63,13 +63,20 @@ def _parse_cycle(obj) -> ClassicalCycle:
     if not isinstance(obj, dict) or set(obj) != {"n", "schedule"}:
         raise SpecParseError('cycle must be an object with keys "n" and "schedule"')
     n, schedule = obj["n"], obj["schedule"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise SpecParseError("cycle n must be an integer")
     if not isinstance(schedule, list) or not all(
         isinstance(e, list) and len(e) == 2 for e in schedule
     ):
         raise SpecParseError("cycle schedule must be a list of [state, duration] pairs")
-    return ClassicalCycle(n, tuple((int(s), float(d)) for s, d in schedule))
+    entries = []
+    for i, (state, duration) in enumerate(schedule):
+        if not _is_int(state):
+            raise SpecParseError(f"cycle schedule entry {i}: state must be an integer, got {type(state).__name__}")
+        if not (_is_int(duration) or isinstance(duration, float)):
+            raise SpecParseError(f"cycle schedule entry {i}: duration must be a number, got {type(duration).__name__}")
+        entries.append((state, duration))
+    return ClassicalCycle(n, entries)
 
 
 def load_system_spec(

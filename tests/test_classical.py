@@ -46,6 +46,16 @@ def test_cycle_rejects_bad_durations():
         ClassicalCycle(1, ((1, math.inf),))
 
 
+def test_cycle_rejects_overflowing_period():
+    # Each duration is finite, but their sum is not.
+    with pytest.raises(ValidationError, match="period"):
+        ClassicalCycle(2, ((1, 1e308), (2, 1e308)))
+    with pytest.raises(ValidationError, match="overflows"):
+        ClassicalCycle(1, ((1, 10**400),))
+    big = ClassicalCycle(2, ((1, 0.5e308), (2, 0.5e308)))
+    assert dwell_fractions(big).f == (0.5, 0.5)
+
+
 def test_cycle_rejects_empty_or_out_of_range():
     with pytest.raises(ValidationError):
         ClassicalCycle(2, ())

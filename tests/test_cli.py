@@ -308,3 +308,23 @@ def test_non_integer_cycle_n(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", "--spec", spec)
     assert code == 1
     assert err.startswith("error[SpecParse]")
+
+
+@pytest.mark.parametrize(
+    "schedule, category",
+    [
+        ([[1, "abc"], [2, 1.0]], "SpecParse"),  # non-numeric duration
+        ([[1.7, 1.0], [2, 1.0]], "SpecParse"),  # fractional state
+        ([[1, 1.0], [2, True]], "SpecParse"),  # boolean duration
+        ([[1, 10**400], [2, 1.0]], "Validation"),  # integer beyond the float range
+        ([[1, 1e308], [2, 1e308]], "Validation"),  # period overflows
+    ],
+)
+@pytest.mark.parametrize("command", ["classical", "check"])
+def test_bad_cycle_schedule_is_one_tagged_error(tmp_path, capsys, command, schedule, category):
+    spec = write_spec(tmp_path, {"cycle": {"n": 2, "schedule": schedule}, "projectors": {"a": [1, 0]}})
+    code, out, err = run_cli(capsys, command, "--spec", spec)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error[{category}]: ")
+    assert err.count("\n") == 1

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from helpers import projective_algebra, random_algebra, random_density
+import traceprob.measure
 from traceprob import (
     DensityMatrix,
     DimensionMismatchError,
+    NonFiniteError,
     NotRealError,
     NotSubsetError,
     PerceptionAlgebra,
@@ -26,6 +30,7 @@ from traceprob import (
     measure_of,
     normalized_prob,
     total_measure,
+    trace,
     trace_prob,
     union_operator,
 )
@@ -126,6 +131,65 @@ def test_measure_additivity_random_sweep():
         union = measure_of(alg, left | right, rho)
         split = measure_of(alg, left, rho) + measure_of(alg, right, rho)
         assert abs(union - split) <= 1e-12
+
+
+def test_measure_alternating_states_never_reads_a_stale_vector():
+    rng = np.random.default_rng(68)
+    alg = random_algebra(rng, 4, 5)
+    rho_a, rho_b = random_density(rng, 4), random_density(rng, 4)
+    s = {"a0", "a3"}
+
+    def fresh():
+        """A separate algebra with the same atoms, so its memo starts empty."""
+        return PerceptionAlgebra([(label, alg.atom(label)) for label in alg.labels])
+
+    want_a, want_b = measure_of(fresh(), s, rho_a), measure_of(fresh(), s, rho_b)
+    assert want_a != want_b
+    for rho, want in ((rho_a, want_a), (rho_b, want_b), (rho_a, want_a)):
+        assert measure_of(alg, s, rho) == want
+        assert abs(want - trace(union_operator(alg, s).mat @ rho.mat).real) <= 1e-12
+
+
+def test_measure_of_disjoint_union_is_exact_sum_of_singletons():
+    rng = np.random.default_rng(69)
+    for _ in range(10):
+        alg = random_algebra(rng, 6, 8)
+        rho = random_density(rng, 6)
+        order = rng.permutation(alg.labels)
+        s, t = set(order[:3]), set(order[3:6])
+        singletons = [measure_of(alg, {label}, rho) for label in s | t]
+        assert measure_of(alg, s | t, rho) == math.fsum(singletons)
+
+
+def test_measure_queries_build_no_pov_operator(monkeypatch):
+    rng = np.random.default_rng(70)
+    alg = random_algebra(rng, 5, 6)
+    rho = random_density(rng, 5)
+    built = []
+    original = traceprob.measure.PovOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(traceprob.measure.PovOperator, "__init__", counting_init)
+    for _ in range(3):
+        measure_of(alg, {"a0", "a2"}, rho)
+        total_measure(alg, rho)
+        normalized_prob(alg, {"a1"}, rho)
+        conditional_prob(alg, {"a1"}, {"a1", "a4"}, rho)
+    assert built == []
+
+
+def test_measure_overflow_is_non_finite_error():
+    # Each atom's expectation is finite; their sum is not.
+    alg = PerceptionAlgebra.from_matrices([("x", 1e308 * np.eye(2)), ("y", 1e308 * np.eye(2))])
+    rho = DensityMatrix(np.diag([0.5, 0.5]))
+    assert measure_of(alg, {"x"}, rho) == 1e308
+    with pytest.raises(NonFiniteError):
+        total_measure(alg, rho)
+    with pytest.raises(NonFiniteError):
+        measure_of(alg, {"x", "y"}, rho)
 
 
 def test_measure_of_dim_mismatch():

@@ -20,6 +20,7 @@ from traceprob import (
     NonCommutingError,
     NotRealError,
     NotUnitaryError,
+    NumericalIntegrityError,
     Projector,
     RealityMode,
     ValidationError,
@@ -34,6 +35,7 @@ from traceprob import (
     max_abs,
     projector_meet,
     random_unitary,
+    trace,
     trace_prob,
     unitary_conjugate,
 )
@@ -127,6 +129,38 @@ def test_trace_prob_bounds_sweep():
         for _ in range(25):
             value = trace_prob(random_projector(rng, n), random_density(rng, n))
             assert 0.0 <= value <= 1.0
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_trace_prob_contraction_matches_matrix_product(n):
+    rng = np.random.default_rng(n)
+    for rank in (1, n // 3, n - 1):
+        p = random_projector(rng, n, rank=rank)
+        rho = random_density(rng, n)
+        assert abs(trace_prob(p, rho) - trace(p.mat @ rho.mat).real) <= 1e-12
+
+
+def test_trace_prob_rejects_value_outside_unit_interval():
+    # A loose tolerance admits a "density" with a negative eigenvalue.
+    rho = DensityMatrix(np.diag([1.05, -0.05]), tol=0.1)
+    with pytest.raises(NumericalIntegrityError, match="outside"):
+        trace_prob(Projector(np.diag([1.0, 0.0])), rho)
+    with pytest.raises(NumericalIntegrityError, match="outside"):
+        trace_prob(Projector(np.diag([0.0, 1.0])), rho)
+
+
+def test_trace_prob_rejects_imaginary_part():
+    # Hermitian only within the loose tolerance, so tr(p rho) = 0.5 - 0.05j.
+    rho = DensityMatrix(np.array([[0.5, 0.05], [-0.05, 0.5]]), tol=0.1)
+    p = Projector(np.array([[0.5, 0.5j], [-0.5j, 0.5]]))
+    with pytest.raises(NumericalIntegrityError, match="imaginary"):
+        trace_prob(p, rho)
+
+
+def test_trace_prob_clamps_within_slack():
+    rho = DensityMatrix(np.diag([1.0 + 4e-10, -4e-10]), tol=1e-9)
+    assert trace_prob(Projector(np.diag([1.0, 0.0])), rho) == 1.0
+    assert trace_prob(Projector(np.diag([0.0, 1.0])), rho) == 0.0
 
 
 def test_trace_prob_complementarity():
