@@ -52,13 +52,17 @@ def _require(spec: SystemSpec, command: str, **fields):
         raise ValidationError(f"{command} needs {', '.join(missing)} in the system file")
 
 
-def cmd_classical(spec: SystemSpec, args) -> tuple[str, dict]:
-    _require(spec, "classical", cycle=spec.cycle, projectors=spec.projectors)
+def _require_char_vectors(spec: SystemSpec):
     for lp in spec.projectors:
         if lp.chi is None:
             raise ValidationError(
                 f"projector {lp.label!r} must be a characteristic vector for the classical command"
             )
+
+
+def cmd_classical(spec: SystemSpec, args) -> tuple[str, dict]:
+    _require(spec, "classical", cycle=spec.cycle, projectors=spec.projectors)
+    _require_char_vectors(spec)
     f = dwell_fractions(spec.cycle)
     rho = DensityMatrix(classical_density(f), mode=spec.mode, tol=args.tol)
     rows, sets = [], []
@@ -189,26 +193,22 @@ def cmd_sample(spec: SystemSpec, args) -> tuple[str, dict]:
 
 
 def cmd_check(spec: SystemSpec, args) -> tuple[str, dict]:
-    fields = []
-    dim = None
-    if spec.cycle is not None:
-        fields.append("cycle")
-        dim = spec.cycle.n
-    if spec.rho is not None:
-        fields.append("rho")
-        dim = spec.rho.dim
-    if spec.hamiltonian is not None:
-        fields.append("hamiltonian")
-        dim = spec.hamiltonian.dim
-    if spec.projectors:
-        fields.append("projectors")
-        dim = spec.projectors[0].projector.dim
-    if spec.algebra is not None:
-        fields.append("algebra")
-        dim = spec.algebra.dim
+    fields = [
+        name
+        for name, value in [
+            ("cycle", spec.cycle),
+            ("rho", spec.rho),
+            ("hamiltonian", spec.hamiltonian),
+            ("projectors", spec.projectors),
+            ("algebra", spec.algebra),
+        ]
+        if value is not None and value != ()
+    ]
+    if spec.cycle is not None and spec.projectors:
+        _require_char_vectors(spec)
     lines = [
         f"fields: {', '.join(fields) if fields else '(none)'}",
-        f"dimension: {dim if dim is not None else '(none)'}",
+        f"dimension: {spec.dim if spec.dim is not None else '(none)'}",
         f"reality mode: {spec.mode.value}",
     ]
     if spec.hamiltonian is not None and spec.projectors:
@@ -216,7 +216,7 @@ def cmd_check(spec: SystemSpec, args) -> tuple[str, dict]:
             ok = is_superselection_compliant(lp.projector, spec.hamiltonian)
             lines.append(f"projector {lp.label!r} superselection-compliant: {'yes' if ok else 'no'}")
     lines.append("all validations passed")
-    payload = {"ok": True, "fields": fields, "dim": dim, "reality_mode": spec.mode.value}
+    payload = {"ok": True, "fields": fields, "dim": spec.dim, "reality_mode": spec.mode.value}
     return "\n".join(lines), payload
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -168,24 +169,63 @@ def random_orthogonal(dim: int, seed: int) -> np.ndarray:
 def matrix_to_rows(a) -> list:
     """Serialize to the repo-wide JSON form: rows of ``[re, im]`` pairs."""
     mat = as_matrix(a)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    return np.stack([mat.real, mat.imag], -1).tolist()
 
 
-def matrix_from_rows(rows) -> np.ndarray:
-    """Parse the repo-wide JSON matrix form back to a square complex matrix."""
-    if not isinstance(rows, list) or not rows:
-        raise ValidationError("matrix must be a non-empty JSON array of rows")
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _first_bad_entry(rows) -> ValidationError:
+    """The error naming the first malformed row or entry, scanning row by row
+    in the order of the rules of :func:`matrix_from_rows`."""
     n = len(rows)
-    out = np.empty((n, n), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
-            raise ValidationError(f"matrix row {i} must be an array of {n} entries")
+            return ValidationError(f"matrix row {i} must be an array of {n} entries")
         for j, entry in enumerate(row):
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+                or not all(_is_number_type(type(x)) for x in entry)
             ):
-                raise ValidationError(f"matrix entry ({i},{j}) must be a [re, im] pair of numbers")
-            out[i, j] = complex(entry[0], entry[1])
-    return as_matrix(out)
+                return ValidationError(f"matrix entry ({i},{j}) must be a [re, im] pair of numbers")
+            try:
+                float(entry[0]), float(entry[1])
+            except OverflowError:
+                return ValidationError(f"matrix entry ({i},{j}) is beyond the float range")
+    return ValidationError("matrix entries must be [re, im] pairs of numbers")
+
+
+def matrix_from_rows(rows) -> np.ndarray:
+    """Parse the repo-wide JSON matrix form back to a square complex matrix.
+
+    A row must be a ``list`` of n entries, an entry a ``list`` of two numbers,
+    and a number an ``int`` or ``float`` (subclasses included) that is not a
+    ``bool`` and fits a float. The rules are checked on the sets of distinct
+    types and lengths, and the matrix is built by one conversion of the
+    flattened numbers (exact, including the sign of zero). Only on failure is
+    the input scanned again, to name the first bad row or entry.
+
+    Raises
+    ------
+    ValidationError
+        If the input breaks a rule above, or a value is NaN/Inf.
+    """
+    if not isinstance(rows, list) or not rows:
+        raise ValidationError("matrix must be a non-empty JSON array of rows")
+    n = len(rows)
+    well_formed = (
+        all(issubclass(t, list) for t in set(map(type, rows)))
+        and set(map(len, rows)) == {n}
+        and all(issubclass(t, list) for t in set(map(type, chain.from_iterable(rows))))
+        and set(map(len, chain.from_iterable(rows))) == {2}
+        and all(_is_number_type(t) for t in set(map(type, chain.from_iterable(chain.from_iterable(rows)))))
+    )
+    if not well_formed:
+        raise _first_bad_entry(rows)
+    try:
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), dtype=float, count=2 * n * n)
+    except OverflowError:
+        raise _first_bad_entry(rows) from None
+    return as_matrix(flat.view(complex).reshape(n, n))

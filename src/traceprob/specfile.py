@@ -34,7 +34,8 @@ class LabeledProjector:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Parsed content of one system description file."""
+    """Parsed content of one system description file; ``dim`` is the common
+    dimension of its fields, or None when no field has one."""
 
     cycle: ClassicalCycle | None
     rho: DensityMatrix | None
@@ -42,6 +43,7 @@ class SystemSpec:
     projectors: tuple[LabeledProjector, ...]
     algebra: PerceptionAlgebra | None
     mode: RealityMode
+    dim: int | None
 
 
 def _is_int(value) -> bool:
@@ -169,4 +171,5 @@ def load_system_spec(
         projectors=tuple(projectors),
         algebra=algebra,
         mode=mode,
+        dim=next(iter(dims.values()), None),
     )

@@ -3,13 +3,22 @@
 With no access to the time, only the infinite-time average of the evolving
 density matrix is relevant; the off-diagonal terms between distinct energies
 carry oscillatory phases that wash out, so the average is block-diagonal
-across energy sectors. The average is exact algebra, computed in closed form
-as the sum of the spectral-projector compressions of rho.
+across energy sectors. The average is exact algebra: the pinching
+sum_k Pi_k rho Pi_k over the spectral projectors Pi_k (Bhatia, Matrix
+Analysis, 1997). In the Hamiltonian's eigenbasis the pinching is a mask that
+zeroes every entry joining two sectors, so it costs two basis changes, O(n^3),
+whatever the number of sectors. A projector is superselection compliant when
+the pinching leaves it unchanged.
+
+The sectors of a Hamiltonian are computed once per clustering tolerance and
+cached on the ``Hamiltonian``, so dephasing a state and testing any number of
+projectors against one Hamiltonian share a single clustering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,9 +30,13 @@ COMPLIANCE_TOL = 1e-9
 
 
 class Hamiltonian:
-    """Hermitian generator of time evolution (hbar = 1); eigendecomposition cached."""
+    """Hermitian generator of time evolution (hbar = 1).
 
-    __slots__ = ("mat", "eig")
+    The eigendecomposition is computed at construction; the energy blocks of
+    the last clustering tolerance asked for are cached in a private slot.
+    """
+
+    __slots__ = ("mat", "eig", "_blocks")
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
         m = as_matrix(mat)
@@ -32,6 +45,7 @@ class Hamiltonian:
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "eig", eig)
+        object.__setattr__(self, "_blocks", None)
 
     @property
     def dim(self) -> int:
@@ -49,26 +63,39 @@ class Hamiltonian:
         return f"Hamiltonian(dim={self.dim})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyBlocks:
-    """Partition of eigen-indices into equal-energy clusters with spectral projectors.
+    """Partition of eigen-indices into equal-energy clusters of a Hamiltonian.
 
-    The projectors sum to the identity and are mutually orthogonal; adjacent
-    clusters are separated by an energy gap larger than the clustering
-    tolerance used to build them.
+    ``labels[i]`` is the cluster of eigen-index ``i`` and ``basis`` the
+    eigenvector matrix the clusters refer to; adjacent clusters are separated
+    by an energy gap larger than the clustering tolerance used to build them.
+    ``projectors`` (the spectral projectors V_k V_k^dagger, which sum to the
+    identity and are mutually orthogonal) are built on first access and kept;
+    dephasing and compliance never build them.
     """
 
     clusters: tuple[tuple[int, ...], ...]
     energies: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
+    labels: np.ndarray
+    basis: np.ndarray
 
     def __post_init__(self):
-        for pi in self.projectors:
-            pi.setflags(write=False)
+        self.labels.setflags(write=False)
 
     @property
     def count(self) -> int:
         return len(self.clusters)
+
+    @cached_property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        out = []
+        for cluster in self.clusters:
+            block = self.basis[:, list(cluster)]
+            pi = block @ block.conj().T
+            pi.setflags(write=False)
+            out.append(pi)
+        return tuple(out)
 
 
 def default_cluster_tol(h: Hamiltonian) -> float:
@@ -79,32 +106,45 @@ def default_cluster_tol(h: Hamiltonian) -> float:
 def energy_blocks(h: Hamiltonian, cluster_tol: float | None = None) -> EnergyBlocks:
     """Greedy clustering of the ascending spectrum into equal-energy sectors.
 
-    Consecutive eigenvalues join one cluster iff their gap is <= cluster_tol;
-    each cluster's spectral projector is the sum of its eigenvector dyads.
+    Consecutive eigenvalues join one cluster iff their gap is <= cluster_tol.
+    The result is cached on ``h`` in one slot keyed by the tolerance, so
+    repeated calls with the same tolerance return the same object.
     """
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(h)
     if cluster_tol <= 0.0:
         raise ValidationError("cluster_tol must be > 0")
+    memo = h._blocks
+    if memo is not None and memo[0] == cluster_tol:
+        return memo[1]
     values = h.eig.eigenvalues
-    vectors = h.eig.eigenvectors
-    clusters: list[list[int]] = [[0]]
-    for j in range(1, len(values)):
-        if values[j] - values[j - 1] <= cluster_tol:
-            clusters[-1].append(j)
-        else:
-            clusters.append([j])
-    projectors = []
-    energies = []
-    for cluster in clusters:
-        block = vectors[:, cluster]
-        projectors.append(block @ block.conj().T)
-        energies.append(float(np.mean(values[cluster])))
-    return EnergyBlocks(
-        clusters=tuple(tuple(c) for c in clusters),
-        energies=tuple(energies),
-        projectors=tuple(projectors),
+    joined = np.diff(values) <= cluster_tol
+    labels = np.concatenate(([0], np.cumsum(~joined)))
+    bounds = [0, *(np.flatnonzero(~joined) + 1).tolist(), len(values)]
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    blocks = EnergyBlocks(
+        clusters=tuple(tuple(range(a, b)) for a, b in spans),
+        energies=tuple(float(np.mean(values[a:b])) for a, b in spans),
+        labels=labels,
+        basis=h.eig.eigenvectors,
     )
+    # One tuple assignment, so a concurrent reader sees either slot whole.
+    object.__setattr__(h, "_blocks", (cluster_tol, blocks))
+    return blocks
+
+
+def pinch(x: np.ndarray, blocks: EnergyBlocks) -> np.ndarray:
+    """The pinching sum_k Pi_k x Pi_k over the energy sectors, in O(n^3).
+
+    Rotates into the eigenbasis once, zeroes every entry whose row and
+    column lie in different clusters, and rotates back. Over a cluster
+    V_k V_k^dagger = Pi_k, so this equals the sum of sector compressions,
+    degenerate sectors included.
+    """
+    v = blocks.basis
+    y = v.conj().T @ x @ v
+    y[blocks.labels[:, np.newaxis] != blocks.labels[np.newaxis, :]] = 0.0
+    return v @ y @ v.conj().T
 
 
 def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
@@ -118,18 +158,15 @@ def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
 
 
 def dephase(rho: DensityMatrix, h: Hamiltonian, cluster_tol: float | None = None) -> DensityMatrix:
-    """Infinite-time average of the evolving state: sum of Pi_k rho Pi_k.
+    """Infinite-time average of the evolving state: the pinching sum_k Pi_k rho Pi_k.
 
-    The result is block-diagonal across the energy sectors and has the same
-    trace as rho.
+    Computed by :func:`pinch` in O(n^3) from the Hamiltonian's cached energy
+    blocks. The result is block-diagonal across the energy sectors and has
+    the same trace as rho.
     """
     if rho.dim != h.dim:
         raise DimensionMismatchError(f"density dim {rho.dim} vs hamiltonian dim {h.dim}")
-    blocks = energy_blocks(h, cluster_tol)
-    out = np.zeros_like(rho.mat)
-    for pi in blocks.projectors:
-        out = out + pi @ rho.mat @ pi
-    return DensityMatrix(out)
+    return DensityMatrix(pinch(rho.mat, energy_blocks(h, cluster_tol)))
 
 
 def is_superselection_compliant(
@@ -137,13 +174,12 @@ def is_superselection_compliant(
 ) -> bool:
     """Whether ``p`` is block-diagonal in the energy representation.
 
-    Compliant projectors give probabilities that do not depend on the
-    unperceived time: tr(p, evolve(rho, h, t)) is constant in t.
+    That is, whether the pinching leaves ``p`` unchanged:
+    max_abs(pinch(p) - p) <= tol, measured in the original basis. One O(n^3)
+    pinching per call, on the Hamiltonian's cached energy blocks. Compliant
+    projectors give probabilities that do not depend on the unperceived
+    time: tr(p, evolve(rho, h, t)) is constant in t.
     """
     if p.dim != h.dim:
         raise DimensionMismatchError(f"projector dim {p.dim} vs hamiltonian dim {h.dim}")
-    blocks = energy_blocks(h, cluster_tol)
-    compressed = np.zeros_like(p.mat)
-    for pi in blocks.projectors:
-        compressed = compressed + pi @ p.mat @ pi
-    return max_abs(compressed - p.mat) <= tol
+    return max_abs(pinch(p.mat, energy_blocks(h, cluster_tol)) - p.mat) <= tol

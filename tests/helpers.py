@@ -137,3 +137,27 @@ def averaged_evolution(rho: DensityMatrix, h: Hamiltonian, times: np.ndarray) ->
     delta = e[:, np.newaxis] - e[np.newaxis, :]
     mean_phase = np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=float), delta)).mean(axis=0)
     return v @ (rho_eig * mean_phase) @ v.conj().T
+
+
+def sector_sum(x: np.ndarray, h: Hamiltonian, clusters) -> np.ndarray:
+    """Literal pinching: the sum of Pi_k x Pi_k over the given clusters of h.
+
+    One dense sandwich per sector, with each Pi_k built from h's eigenvectors,
+    so the cost is O(n^4) on a nondegenerate spectrum. The oracle for the
+    library's O(n^3) pinching.
+    """
+    v = h.eig.eigenvectors
+    out = np.zeros_like(x)
+    for cluster in clusters:
+        block = v[:, list(cluster)]
+        pi = block @ block.conj().T
+        out = out + pi @ x @ pi
+    return out
+
+
+def degenerate_hamiltonian(rng, n: int) -> Hamiltonian:
+    """Hamiltonian with about n/3 distinct integer levels in a Haar-random basis,
+    so that most energy sectors span several eigen-indices."""
+    levels = np.sort(rng.integers(0, max(2, n // 3), size=n)).astype(float)
+    v = random_basis(rng, n)
+    return Hamiltonian((v * levels[np.newaxis, :]) @ v.conj().T)

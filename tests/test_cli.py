@@ -213,6 +213,25 @@ def test_check_reports_fields(tmp_path, capsys):
     assert "superselection-compliant: yes" in out
 
 
+@pytest.mark.parametrize("command", ["classical", "check"])
+def test_cycle_with_matrix_projector_is_refused(tmp_path, capsys, command):
+    spec = write_spec(
+        tmp_path, {"cycle": {"n": 2, "schedule": [[1, 1.0], [2, 1.0]]}, "projectors": {"a": PLUS_ROWS}}
+    )
+    code, out, err = run_cli(capsys, command, "--spec", spec)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[Validation]: projector 'a' must be a characteristic vector")
+    assert err.count("\n") == 1
+
+
+def test_check_json_without_dimension(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"reality_mode": "real"})
+    code, out, _ = run_cli(capsys, "check", "--spec", spec, "--json")
+    assert code == 0
+    assert json.loads(out) == {"ok": True, "fields": [], "dim": None, "reality_mode": "real"}
+
+
 def test_check_json(tmp_path, capsys):
     spec = write_spec(tmp_path, {"cycle": {"n": 1, "schedule": [[1, 1.0]]}})
     code, out, _ = run_cli(capsys, "check", "--spec", spec, "--json")

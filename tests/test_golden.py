@@ -1,0 +1,102 @@
+"""Golden CLI corpus: ``--json`` output of every subcommand on fixed spec files.
+
+Each case runs one subcommand on one spec file under ``tests/golden/`` and
+compares its payload with the recorded one in ``tests/golden/expected/``:
+keys, strings, booleans and integers (``sample`` counts included) must match
+exactly, floats within ``FLOAT_ATOL``. The corpus guards refactors that are
+meant to keep the CLI's numbers.
+
+To record the corpus from a source tree, run this file as a script with that
+tree on the path::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from traceprob.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXPECTED = GOLDEN / "expected"
+FLOAT_ATOL = 1e-12
+
+# (spec file stem, subcommand, extra arguments)
+CASES = [
+    ("cycle", "classical", []),
+    ("cycle", "sample", ["--n", "20000", "--seed", "11"]),
+    ("cycle", "check", []),
+    ("degenerate", "quantum", []),
+    ("degenerate", "dephase", []),
+    ("degenerate", "check", []),
+    ("generic", "quantum", []),
+    ("generic", "dephase", []),
+    ("generic", "sample", ["--n", "50000", "--seed", "5"]),
+    ("generic", "check", []),
+    ("real", "quantum", []),
+    ("real", "dephase", []),
+    ("real", "sample", ["--n", "30000", "--seed", "3"]),
+    ("real", "check", []),
+    ("measure", "measure", []),
+    ("measure", "check", []),
+]
+
+
+def _case_id(case) -> str:
+    return f"{case[0]}-{case[1]}"
+
+
+def _run(stem: str, command: str, extra: list[str]) -> dict:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([command, "--spec", str(GOLDEN / f"{stem}.json"), "--json", *extra])
+    assert code == 0, f"{command} on {stem}.json exited {code}"
+    return json.loads(buf.getvalue())
+
+
+def _assert_matches(got, want, path: str = "$") -> None:
+    if isinstance(want, float) and type(got) is float:
+        assert abs(got - want) <= FLOAT_ATOL, f"{path}: {got!r} vs {want!r}"
+        return
+    assert type(got) is type(want), f"{path}: {type(got).__name__} vs {type(want).__name__}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{path}: keys {list(got)} vs {list(want)}"
+        for key in want:
+            _assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: length {len(got)} vs {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{path}[{i}]")
+    else:
+        assert got == want, f"{path}: {got!r} vs {want!r}"
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_golden_cli_output(case):
+    stem, command, extra = case
+    want = json.loads((EXPECTED / f"{_case_id(case)}.json").read_text(encoding="utf-8"))
+    _assert_matches(_run(stem, command, extra), want)
+
+
+def test_golden_corpus_is_complete():
+    recorded = {p.stem for p in EXPECTED.glob("*.json")}
+    assert recorded == {_case_id(c) for c in CASES}
+    assert {c[1] for c in CASES} == {"classical", "quantum", "dephase", "measure", "sample", "check"}
+
+
+def record() -> None:
+    EXPECTED.mkdir(exist_ok=True)
+    for case in CASES:
+        payload = _run(*case)
+        path = EXPECTED / f"{_case_id(case)}.json"
+        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    record()

@@ -243,8 +243,33 @@ def test_matrix_rows_round_trip_exact():
         [[[True, False]]],
         [[["1", "0"]]],
         "nope",
+        [[[10**400, 0]]],  # integer beyond the float range
+        [[(1.0, 0.0)]],  # tuple entry
+        [[[1.0, 0.0], [True, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],  # one bool among valid entries
     ],
 )
 def test_matrix_from_rows_rejects_malformed(rows):
     with pytest.raises(ValidationError):
         matrix_from_rows(rows)
+
+
+def test_matrix_from_rows_accepts_numpy_floats_exactly():
+    rows = [[[np.float64(0.1), np.float64(-0.0)], [2**53 + 1, 0]], [[0, 0], [1, -2.5]]]
+    mat = matrix_from_rows(rows)
+    np.testing.assert_array_equal(mat, [[0.1, 2.0**53], [0.0, 1.0 - 2.5j]])
+    assert np.signbit(mat[0, 0].imag)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[[1, 0], [1, 0]], [[1, 0], [1, 0, 0]]], "matrix entry (1,1) must be"),
+        ([[[1, 0], [1, 0]], [[1, 0], [False, 0]]], "matrix entry (1,1) must be"),
+        ([[[1, 0], [1, 0]], [[1, 0], [1, 10**400]]], "matrix entry (1,1) is beyond the float range"),
+        ([[[1, 0], [1, 0]], [[1, 0]]], "matrix row 1 must be an array of 2 entries"),
+    ],
+)
+def test_matrix_from_rows_names_first_bad_entry(rows, message):
+    with pytest.raises(ValidationError) as exc:
+        matrix_from_rows(rows)
+    assert str(exc.value).startswith(message)

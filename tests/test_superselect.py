@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from helpers import (
     averaged_evolution,
+    degenerate_hamiltonian,
     random_density,
     random_hamiltonian,
     random_hermitian,
+    random_projector,
+    sector_sum,
 )
 from traceprob import (
     DensityMatrix,
@@ -25,10 +30,13 @@ from traceprob import (
     energy_blocks,
     evolve,
     is_superselection_compliant,
+    matrix_to_rows,
     max_abs,
     trace,
     trace_prob,
 )
+from traceprob.cli import main
+from traceprob.superselect import COMPLIANCE_TOL, EnergyBlocks, pinch
 
 PLUS_STATE = np.full((2, 2), 0.5)
 
@@ -246,3 +254,106 @@ def test_compliant_probabilities_are_time_independent():
         baseline = trace_prob(p, dephase(rho, h))
         for t in rng.uniform(0.0, 50.0, size=5):
             assert abs(trace_prob(p, evolve(rho, h, t)) - baseline) <= 1e-9
+
+
+# --- pinching ---
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 128])
+def test_pinching_matches_sector_sum(n):
+    rng = np.random.default_rng(61 + n)
+    h = degenerate_hamiltonian(rng, n)
+    blocks = energy_blocks(h)
+    assert max(len(c) for c in blocks.clusters) > 1
+    rho = random_density(rng, n)
+    assert max_abs(dephase(rho, h).mat - sector_sum(rho.mat, h, blocks.clusters)) <= 1e-12
+    in_sector = blocks.basis[:, list(blocks.clusters[0][:1])]
+    candidates = [
+        Projector(sum(blocks.projectors[::2])),  # whole sectors
+        Projector(in_sector @ in_sector.conj().T),  # part of one sector
+        random_projector(rng, n, rank=n // 2),  # across sectors
+    ]
+    verdicts = []
+    for p in candidates:
+        literal = sector_sum(p.mat, h, blocks.clusters)
+        assert max_abs(pinch(p.mat, blocks) - literal) <= 1e-12
+        verdict = is_superselection_compliant(p, h)
+        assert verdict == (max_abs(literal - p.mat) <= COMPLIANCE_TOL)
+        verdicts.append(verdict)
+    assert verdicts == [True, True, False]
+
+
+def test_energy_blocks_cached_per_tolerance():
+    rng = np.random.default_rng(62)
+    h = degenerate_hamiltonian(rng, 8)
+    default = energy_blocks(h)
+    assert energy_blocks(h) is default
+    assert energy_blocks(h, default_cluster_tol(h)) is default
+    wide = energy_blocks(h, 10.0)
+    assert wide is not default
+    assert energy_blocks(h, 10.0) is wide
+    assert wide.count == 1
+    with pytest.raises(ValidationError):
+        energy_blocks(h, 0.0)
+    with pytest.raises(AttributeError):
+        h._blocks = None
+
+
+def test_energy_blocks_labels_and_basis():
+    h = Hamiltonian(np.diag([2.0, 0.0, 0.0, 5.0]))
+    blocks = energy_blocks(h)
+    assert blocks.labels.tolist() == [0, 0, 1, 2]
+    assert blocks.basis is h.eig.eigenvectors
+    with pytest.raises(ValueError):
+        blocks.labels[0] = 1
+
+
+def test_projectors_are_read_only_and_cached():
+    blocks = energy_blocks(Hamiltonian(np.diag([0.0, 0.0, 1.0])))
+    assert blocks.projectors is blocks.projectors
+    for pi in blocks.projectors:
+        with pytest.raises(ValueError):
+            pi[0, 0] = 7.0
+
+
+def test_dephase_and_compliance_build_no_projectors(monkeypatch, tmp_path, capsys):
+    built = []
+    lazy = EnergyBlocks.projectors
+
+    def counting(self):
+        built.append(1)
+        return lazy.func(self)
+
+    monkeypatch.setattr(EnergyBlocks, "projectors", property(counting))
+    rng = np.random.default_rng(63)
+    h = degenerate_hamiltonian(rng, 6)
+    rho = random_density(rng, 6)
+    dephase(rho, h)
+    is_superselection_compliant(random_projector(rng, 6), h)
+    spec = tmp_path / "system.json"
+    obj = {
+        "rho": matrix_to_rows(rho.mat),
+        "hamiltonian": matrix_to_rows(h.mat),
+        "projectors": {"p": matrix_to_rows(np.eye(6))},
+    }
+    spec.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["quantum", "--spec", str(spec), "--json"]) == 0
+    capsys.readouterr()
+    assert built == []
+    energy_blocks(h).projectors
+    assert built == [1]
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("c", [1e-3, 0.5, 7.0, 1e3])
+def test_clusters_invariant_under_shift_and_scale(n, c):
+    rng = np.random.default_rng(64 + n)
+    h = degenerate_hamiltonian(rng, n)
+    tol = 1e-6
+    reference = energy_blocks(h, tol)
+    assert reference.count < n
+    shifted = energy_blocks(Hamiltonian(h.mat + c * np.eye(n)), tol)
+    scaled = energy_blocks(Hamiltonian(c * h.mat), c * tol)
+    for blocks in (shifted, scaled):
+        assert blocks.clusters == reference.clusters
+        assert blocks.labels.tolist() == reference.labels.tolist()
