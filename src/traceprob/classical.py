@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 
 FRACTION_SUM_TOL = 1e-9
+MISSING_SHOWN = 10  # missing states named in a refusal
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,11 @@ class ClassicalCycle:
             raise ValidationError("cycle needs at least one state")
         if not self.schedule:
             raise ValidationError("schedule must be non-empty")
+        if self.n > len(self.schedule):
+            raise ValidationError(
+                f"cycle n is larger than its number of schedule entries ({len(self.schedule)}), "
+                "so some state never appears"
+            )
         seen = set()
         for state, duration in self.schedule:
             if not 1 <= state <= self.n:
@@ -55,8 +61,10 @@ class ClassicalCycle:
                 raise ValidationError(f"dwell duration {duration} must be finite and > 0")
             seen.add(state)
         if len(seen) != self.n:
-            missing = sorted(set(range(1, self.n + 1)) - seen)
-            raise ValidationError(f"every state must appear in the schedule; missing {missing}")
+            missing = [i for i in range(1, self.n + 1) if i not in seen]
+            raise ValidationError(
+                f"every state must appear in the schedule; {len(missing)} missing, first {missing[:MISSING_SHOWN]}"
+            )
         # The period is an exact fsum in dwell_fractions and a running sum in
         # the time lookups; either may overflow first.
         with np.errstate(over="ignore"):

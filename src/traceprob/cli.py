@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -262,21 +263,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(category: str, message) -> int:
+    print(f"error[{category}]: {message}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     mode = RealityMode.REAL if args.real else None
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise ValidationError(f"--tol must be finite and > 0, got {args.tol!r}")
         spec = load_system_spec(args.spec, mode_override=mode, tol=args.tol)
         text, payload = _COMMANDS[args.command](spec, args)
     except TraceProbError as exc:
-        category = type(exc).__name__.removesuffix("Error")
-        print(f"error[{category}]: {exc}", file=sys.stderr)
-        return 1
+        return _fail(type(exc).__name__.removesuffix("Error"), exc)
     output = json.dumps(payload, indent=2) + "\n" if args.json else text + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as exc:
+            return _fail("Output", f"cannot write {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(output)
     return 0

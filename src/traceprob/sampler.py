@@ -1,9 +1,10 @@
 """Seeded Monte Carlo realization of the random-sampling reading of the rule.
 
-Classical sampling draws times uniformly over one period and records the
-occupied state, so each state's frequency estimates its dwell fraction.
-Measurement sampling draws outcomes of a projective partition with weights
-given by the trace rule. Reports are deterministic for a fixed seed (PCG64).
+A report keeps only per-outcome counts, so each run draws its counts as one
+multinomial: the same law as N uniform-in-time draws (classical cycles, with
+dwell fractions as weights) or N inverse-CDF draws (projective measurements,
+with trace-rule weights), at a cost independent of N. Reports are
+deterministic for a fixed seed (PCG64).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .matcore import max_abs
 from .quantum import DensityMatrix, Projector, trace_prob
 
 PARTITION_TOL = 1e-9
+MAX_SAMPLES = 2**63 - 1  # numpy's multinomial counts are int64
 
 
 @dataclass(frozen=True)
@@ -82,17 +84,30 @@ def _build_report(
     )
 
 
-def sample_classical(c: ClassicalCycle, n_samples: int, seed: int) -> SampleReport:
-    """Sample times uniform over [0, T) and tally the occupied states."""
-    n_samples = int(n_samples)
+def _check_draw_args(n_samples: int, seed: int) -> tuple[int, int]:
+    n_samples, seed = int(n_samples), int(seed)
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    times = rng.random(n_samples) * c.period
-    states = c._states[c._dwell_indices(times)]
-    counts = np.bincount(states - 1, minlength=c.n)
+    if n_samples > MAX_SAMPLES:
+        raise ValidationError("n_samples must be <= 2**63 - 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
+    return n_samples, seed
+
+
+def sample_classical(c: ClassicalCycle, n_samples: int, seed: int) -> SampleReport:
+    """Tally n_samples times uniform over [0, T) by the state they fall in.
+
+    Drawn as one multinomial over the dwell fractions, which has the same law.
+    Each fraction is a correctly rounded sum over a correctly rounded period,
+    so together they sum to 1 within a few ulps, inside numpy's 1e-12 check
+    on the weights.
+    """
+    n_samples, seed = _check_draw_args(n_samples, seed)
+    fractions = dwell_fractions(c).f
+    counts = np.random.default_rng(seed).multinomial(n_samples, fractions)
     labels = [f"state-{i}" for i in range(1, c.n + 1)]
-    return _build_report(labels, counts, n_samples, dwell_fractions(c).f, int(seed))
+    return _build_report(labels, counts, n_samples, fractions, seed)
 
 
 def sample_measurement(
@@ -105,12 +120,11 @@ def sample_measurement(
     """Draw outcomes of a projective partition with trace-rule weights.
 
     The projectors must sum to the identity and be pairwise orthogonal
-    (both to 1e-9 in max-norm); their trace probabilities are then used as
-    inverse-CDF weights. Weight sums off 1 by more than 1e-9 are refused.
+    (both to 1e-9 in max-norm); their trace probabilities, normalized, are
+    then the multinomial weights of the counts. Weight sums off 1 by more
+    than 1e-9 are refused.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
+    n_samples, seed = _check_draw_args(n_samples, seed)
     if not partition:
         raise NotAPartitionError("partition must contain at least one projector")
     dim = rho.dim
@@ -130,17 +144,12 @@ def sample_measurement(
         raise NotAPartitionError(f"outcome weights sum to {weight_sum!r}, off 1 beyond 1e-9")
     weights = weights / weight_sum
 
-    cdf = np.cumsum(weights)
-    cdf[-1] = 1.0
-    rng = np.random.default_rng(seed)
-    draws = rng.random(n_samples)
-    outcomes = np.searchsorted(cdf, draws, side="right")
-    counts = np.bincount(outcomes, minlength=len(partition))
+    counts = np.random.default_rng(seed).multinomial(n_samples, weights)
     if labels is None:
         labels = [f"outcome-{k}" for k in range(1, len(partition) + 1)]
     elif len(labels) != len(partition):
         raise ValidationError("labels must match the number of projectors")
-    return _build_report(list(labels), counts, n_samples, weights, int(seed))
+    return _build_report(list(labels), counts, n_samples, weights, seed)
 
 
 def deviation_check(report: SampleReport, sigma_multiplier: float) -> bool:

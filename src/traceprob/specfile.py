@@ -96,7 +96,9 @@ def load_system_spec(
             obj = json.load(fh)
     except OSError as exc:
         raise SpecParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise SpecParseError(f"{path} nests JSON arrays or objects too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise SpecParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SpecParseError("top level of a system file must be a JSON object")

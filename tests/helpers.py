@@ -18,6 +18,7 @@ from traceprob import (
     PerceptionSet,
     Projector,
     RealityMode,
+    trace_prob,
 )
 
 
@@ -161,3 +162,28 @@ def degenerate_hamiltonian(rng, n: int) -> Hamiltonian:
     levels = np.sort(rng.integers(0, max(2, n // 3), size=n)).astype(float)
     v = random_basis(rng, n)
     return Hamiltonian((v * levels[np.newaxis, :]) @ v.conj().T)
+
+
+def literal_classical_counts(c: ClassicalCycle, n_samples: int, seed: int) -> np.ndarray:
+    """Per-state counts of n_samples times drawn uniformly over one period.
+
+    The literal uniform-in-time sampler: one draw and one schedule lookup
+    per sample, so O(N). The oracle for the library's multinomial draw.
+    """
+    times = np.random.default_rng(seed).random(n_samples) * c.period
+    states = c._states[c._dwell_indices(times)]
+    return np.bincount(states - 1, minlength=c.n)
+
+
+def literal_measurement_counts(partition, rho: DensityMatrix, n_samples: int, seed: int) -> np.ndarray:
+    """Per-outcome counts of n_samples inverse-CDF draws with trace-rule weights.
+
+    One uniform draw and one ``searchsorted`` on the CDF per sample, so
+    O(N). The oracle for the library's multinomial draw; it assumes a valid
+    partition.
+    """
+    weights = np.array([trace_prob(p, rho) for p in partition])
+    cdf = np.cumsum(weights / weights.sum())
+    cdf[-1] = 1.0
+    draws = np.random.default_rng(seed).random(n_samples)
+    return np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=len(partition))

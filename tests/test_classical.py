@@ -37,6 +37,20 @@ def test_cycle_requires_every_state():
         ClassicalCycle(3, ((1, 1.0), (2, 1.0)))
 
 
+def test_cycle_refuses_more_states_than_entries_before_listing_them():
+    # naming the missing states of n = 10**30 would not fit in memory
+    with pytest.raises(ValidationError, match=r"number of schedule entries \(1\)"):
+        ClassicalCycle(10**30, ((1, 1.0),))
+
+
+def test_cycle_names_at_most_ten_missing_states():
+    with pytest.raises(ValidationError) as exc:
+        ClassicalCycle(500, [(1, 1.0)] * 500)
+    message = str(exc.value)
+    assert message.endswith("499 missing, first [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]")
+    assert len(message) < 120
+
+
 def test_cycle_rejects_bad_durations():
     with pytest.raises(ValidationError):
         ClassicalCycle(1, ((1, 0.0),))

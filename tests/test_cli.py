@@ -347,3 +347,83 @@ def test_bad_cycle_schedule_is_one_tagged_error(tmp_path, capsys, command, sched
     assert out == ""
     assert err.startswith(f"error[{category}]: ")
     assert err.count("\n") == 1
+
+
+def _one_error_line(err: str, category: str, max_len: int = 300) -> None:
+    assert err.startswith(f"error[{category}]: ")
+    assert err.count("\n") == 1
+    assert len(err) <= max_len
+
+
+@pytest.mark.parametrize("command", ["check", "classical", "sample"])
+@pytest.mark.parametrize(
+    "cycle",
+    [
+        {"n": 10**30, "schedule": [[1, 1.0]]},  # more states than schedule entries
+        {"n": 2000, "schedule": [[1, 1.0]] * 2000},  # 1999 states missing
+    ],
+    ids=["huge-n", "many-missing"],
+)
+def test_cycle_with_absent_states_is_one_short_error(tmp_path, capsys, command, cycle):
+    spec = write_spec(tmp_path, {"cycle": cycle, "projectors": {"a": [1] + [0] * 1999}})
+    code, out, err = run_cli(capsys, command, "--spec", spec)
+    assert code == 1
+    assert out == ""
+    _one_error_line(err, "Validation")
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--n", str(2**63)), ("--n", str(10**30)), ("--n", "0"), ("--seed", "-1")]
+)
+def test_sample_draw_args_out_of_range(tmp_path, capsys, flag, value):
+    spec = write_spec(tmp_path, {"cycle": {"n": 2, "schedule": [[1, 1.0], [2, 1.0]]}})
+    code, out, err = run_cli(capsys, "sample", "--spec", spec, f"{flag}={value}")
+    assert code == 1
+    assert out == ""
+    _one_error_line(err, "Validation")
+
+
+def test_sample_largest_n(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"cycle": {"n": 2, "schedule": [[1, 1.0], [2, 1.0]]}})
+    code, out, _ = run_cli(capsys, "sample", "--spec", spec, "--json", "--n", str(2**63 - 1))
+    assert code == 0
+    assert sum(json.loads(out)["counts"]) == 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[" * 100000 + b"]" * 100000,
+        b'{"cycle": {"n": ' + b"9" * 5000 + b"}}",
+        b'{"rho": "\xff"}',
+    ],
+    ids=["deep-nesting", "int-beyond-digit-limit", "not-utf8"],
+)
+def test_unparsable_json_is_a_spec_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "system.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "check", "--spec", str(path))
+    assert code == 1
+    assert out == ""
+    _one_error_line(err, "SpecParse")
+
+
+def test_out_into_missing_directory(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"rho": PLUS_ROWS, "projectors": {"up": DIAG_10_ROWS}})
+    target = tmp_path / "absent" / "report.txt"
+    code, out, err = run_cli(capsys, "quantum", "--spec", spec, "--out", str(target))
+    assert code == 1
+    assert out == ""
+    _one_error_line(err, "Output")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-10"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    # rho = [[5]] has trace 5: only an infinite tolerance would let it through
+    spec = write_spec(tmp_path, {"rho": matrix_to_rows(np.array([[5.0]])), "projectors": {"p": [1]}})
+    code, out, err = run_cli(capsys, "quantum", "--spec", spec, f"--tol={tol}")
+    assert code == 1
+    assert out == ""
+    _one_error_line(err, "Validation")
+    assert "--tol" in err

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
 
-from helpers import random_cycle, random_density, random_partition
+from helpers import (
+    literal_classical_counts,
+    literal_measurement_counts,
+    random_cycle,
+    random_density,
+    random_partition,
+)
 from traceprob import (
     ClassicalCycle,
     DensityMatrix,
@@ -198,3 +205,87 @@ def test_report_validates_counts():
             max_abs_deviation=0.0,
             seed=0,
         )
+
+
+# --- the multinomial draw against the literal O(N) samplers ---
+
+LAW_SEEDS = 200
+LAW_N = 20000
+
+
+def _oracle_report(counts, expected) -> SampleReport:
+    total = int(np.sum(counts))
+    freqs = tuple(float(c) / total for c in counts)
+    return SampleReport(
+        outcomes=tuple(str(i) for i in range(len(counts))),
+        counts=tuple(int(c) for c in counts),
+        total=total,
+        empirical_freqs=freqs,
+        expected_probs=tuple(expected),
+        max_abs_deviation=max(abs(f - e) for f, e in zip(freqs, expected)),
+        seed=0,
+    )
+
+
+def _law_case(kind: str):
+    """(library sampler, literal oracle counts) for one fixed system, both by seed."""
+    if kind == "cycle":
+        # states 1 and 3 are visited twice per period
+        c = ClassicalCycle(4, ((1, 0.7), (3, 1.1), (2, 0.4), (1, 0.5), (4, 2.0), (3, 0.3)))
+        return (
+            lambda seed: sample_classical(c, LAW_N, seed),
+            lambda seed: literal_classical_counts(c, LAW_N, seed),
+        )
+    rng = np.random.default_rng(86)
+    partition = random_partition(rng, 6, 4)
+    rho = random_density(rng, 6)
+    return (
+        lambda seed: sample_measurement(partition, rho, LAW_N, seed),
+        lambda seed: literal_measurement_counts(partition, rho, LAW_N, seed),
+    )
+
+
+@pytest.mark.parametrize("kind", ["cycle", "partition"])
+def test_multinomial_draw_has_the_literal_samplers_law(kind):
+    library, oracle = _law_case(kind)
+    reports = [library(seed) for seed in range(LAW_SEEDS)]
+    probs = np.array(reports[0].expected_probs)
+    oracle_counts = [oracle(seed) for seed in range(LAW_SEEDS)]
+    library_passes = sum(deviation_check(r, 5.0) for r in reports)
+    oracle_passes = sum(deviation_check(_oracle_report(c, probs), 5.0) for c in oracle_counts)
+    assert min(library_passes, oracle_passes) >= LAW_SEEDS - 2
+    assert abs(library_passes - oracle_passes) <= 2
+    # the mean of LAW_SEEDS independent counts has deviation sqrt(N p (1-p) / seeds)
+    bound = 5.0 * np.sqrt(LAW_N * probs * (1.0 - probs) / LAW_SEEDS) + 1e-9
+    for counts in (np.array([r.counts for r in reports]), np.array(oracle_counts)):
+        assert np.all(np.abs(counts.mean(axis=0) - LAW_N * probs) <= bound)
+
+
+def test_sample_cost_does_not_grow_with_n():
+    c = ClassicalCycle(3, ((1, 1.0), (2, 0.5), (3, 2.5)))
+    start = time.perf_counter()
+    report = sample_classical(c, 10**15, seed=13)
+    assert time.perf_counter() - start < 2.0
+    assert report.total == 10**15
+    assert sum(report.counts) == 10**15
+    assert deviation_check(report, 5.0)
+
+
+def test_sample_classical_many_states():
+    # 10**5 dwell fractions still pass numpy's check that the weights sum to 1
+    rng = np.random.default_rng(87)
+    n = 10**5
+    order = rng.permutation(n) + 1
+    c = ClassicalCycle(n, [(int(s), float(d)) for s, d in zip(order, rng.uniform(0.1, 3.0, n))])
+    report = sample_classical(c, 10**6, seed=14)
+    assert sum(report.counts) == 10**6
+    assert len(report.counts) == n
+
+
+@pytest.mark.parametrize("n_samples, seed", [(2**63, 0), (10**30, 0), (10, -1)])
+def test_samplers_refuse_out_of_range_draw_args(n_samples, seed):
+    with pytest.raises(ValidationError):
+        sample_classical(ClassicalCycle(1, ((1, 1.0),)), n_samples, seed)
+    with pytest.raises(ValidationError):
+        sample_measurement([Projector(np.eye(2))], DensityMatrix(PLUS_STATE), n_samples, seed)
+
