@@ -193,6 +193,47 @@ def test_is_density_examples(mat, expected):
     assert is_density(mat) is expected
 
 
+# Threshold table: each check just inside and just outside its bound, on a
+# matrix with |a|_max >> 1 wherever the check allows one, so a relative bound
+# tol * max(1, |a|_max) and an absolute bound tol give different verdicts.
+# Hermiticity and idempotency are relative; the density trace check
+# |tr - 1| <= tol and the eigenvalue check >= -tol are absolute. The large
+# tolerances make room for |a|_max >> 1 on matrices that are still within
+# reach of a unit-trace positive operator or of a Hermitian idempotent.
+THRESHOLDS = [
+    # Hermiticity, relative: bound 1e-10 * 100 = 1e-8; defect 5e-9 / 2e-8.
+    ("herm-in", is_hermitian, [[100.0, 5e-9], [0.0, 1.0]], 1e-10, True),
+    ("herm-out", is_hermitian, [[100.0, 2e-8], [0.0, 1.0]], 1e-10, False),
+    # Idempotency, relative: diag(l, 0) has defect l^2 - l against 100 * l.
+    ("idem-in", is_projector, np.diag([100.9, 0.0]), 100.0, True),
+    ("idem-out", is_projector, np.diag([101.1, 0.0]), 100.0, False),
+    ("idem-in-unit", is_projector, np.diag([1.0 + 5e-11, 0.0]), 1e-10, True),
+    ("idem-out-unit", is_projector, np.diag([1.0 + 2e-10, 0.0]), 1e-10, False),
+    # Hermiticity inside is_projector, at scale 1.
+    ("proj-herm-in", is_projector, [[1.0, 5e-11], [0.0, 0.0]], 1e-10, True),
+    ("proj-herm-out", is_projector, [[1.0, 2e-10], [0.0, 0.0]], 1e-10, False),
+    # Trace, absolute: |tr - 1| = 9.5 / 10.5 against tol 10 (relative: 200).
+    ("trace-in", is_density, np.diag([20.0, -9.5]), 10.0, True),
+    ("trace-out", is_density, np.diag([20.0, -8.5]), 10.0, False),
+    ("trace-in-unit", is_density, np.diag([0.5 + 5e-11, 0.5]), 1e-10, True),
+    ("trace-out-unit", is_density, np.diag([0.5 + 2e-10, 0.5]), 1e-10, False),
+    # Minimum eigenvalue, absolute: -9.5 / -10.5 against -10 (relative: -205).
+    ("eig-in", is_density, np.diag([19.5, -9.5]), 10.0, True),
+    ("eig-out", is_density, np.diag([20.5, -10.5]), 10.0, False),
+    ("eig-in-unit", is_density, np.diag([1.0 + 5e-11, -5e-11]), 1e-10, True),
+    ("eig-out-unit", is_density, np.diag([1.0 + 2e-10, -2e-10]), 1e-10, False),
+    # Hermiticity inside is_density, relative: defect 12 <= 10 * 12.
+    ("density-herm-in", is_density, [[5.5, 12.0], [0.0, 5.0]], 10.0, True),
+]
+
+
+@pytest.mark.parametrize(
+    "predicate,mat,tol,expected", [row[1:] for row in THRESHOLDS], ids=[row[0] for row in THRESHOLDS]
+)
+def test_predicate_thresholds(predicate, mat, tol, expected):
+    assert predicate(np.array(mat, dtype=complex), tol) is expected
+
+
 def test_random_unitary_dim_one():
     u = random_unitary(1, 5)
     assert u.shape == (1, 1)

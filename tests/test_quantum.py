@@ -17,10 +17,13 @@ from traceprob import (
     DensityMatrix,
     DimensionMismatchError,
     FractionVector,
+    Hamiltonian,
     NonCommutingError,
+    NotHermitianError,
     NotRealError,
     NotUnitaryError,
     NumericalIntegrityError,
+    PovOperator,
     Projector,
     RealityMode,
     ValidationError,
@@ -68,6 +71,89 @@ def test_instances_are_immutable():
         p.mat = np.eye(2)
     with pytest.raises(ValueError):
         rho.mat[0, 0] = 0.9
+
+
+COMPLEX, REAL = RealityMode.COMPLEX, RealityMode.REAL
+NOT_PROJECTOR = "matrix is not a projector (Hermitian idempotent) within tolerance"
+NOT_DENSITY = "matrix is not a density matrix (PSD Hermitian, unit trace) within tolerance"
+POV_NOT_HERMITIAN = "POV operator must be Hermitian within tolerance"
+POV_NOT_PSD = "POV operator must be positive semidefinite (eigenvalues >= -tol)"
+IMAGINARY_2E12 = "imaginary part 2.000e-12 exceeds 1e-12 in REAL mode"
+
+# Constructor thresholds: (class, matrix, mode, tol) -> None when accepted,
+# else (error type, exact message). Hermiticity and idempotency are relative
+# to max(1, |a|_max); the trace, eigenvalue and REAL-mode checks are absolute.
+# The rows sit just inside and just outside each bound, on matrices with
+# |a|_max >> 1, so a relative and an absolute check disagree on them.
+CONSTRUCTION = [
+    ("proj-idem-in", Projector, np.diag([100.9, 0.0]), COMPLEX, 100.0, None),
+    ("proj-idem-out", Projector, np.diag([101.1, 0.0]), COMPLEX, 100.0, (ValidationError, NOT_PROJECTOR)),
+    ("proj-herm-in", Projector, [[1.0, 5e-11], [0.0, 0.0]], COMPLEX, 1e-10, None),
+    ("proj-herm-out", Projector, [[1.0, 2e-10], [0.0, 0.0]], COMPLEX, 1e-10, (ValidationError, NOT_PROJECTOR)),
+    ("proj-real-out", Projector, [[1.0, 2e-12j], [-2e-12j, 0.0]], REAL, 1e-10, (NotRealError, IMAGINARY_2E12)),
+    ("rho-trace-in", DensityMatrix, np.diag([20.0, -9.5]), COMPLEX, 10.0, None),
+    ("rho-trace-out", DensityMatrix, np.diag([20.0, -8.5]), COMPLEX, 10.0, (ValidationError, NOT_DENSITY)),
+    ("rho-eig-in", DensityMatrix, np.diag([19.5, -9.5]), COMPLEX, 10.0, None),
+    ("rho-eig-out", DensityMatrix, np.diag([20.5, -10.5]), COMPLEX, 10.0, (ValidationError, NOT_DENSITY)),
+    ("rho-real-in", DensityMatrix, [[0.5, 0.5 + 5e-13j], [0.5 - 5e-13j, 0.5]], REAL, 1e-10, None),
+    ("rho-real-out", DensityMatrix, [[0.5, 0.5 + 2e-12j], [0.5 - 2e-12j, 0.5]], REAL, 1e-10, (NotRealError, IMAGINARY_2E12)),
+    ("pov-herm-in", PovOperator, [[100.0, 5e-9], [0.0, 1.0]], COMPLEX, 1e-10, None),
+    ("pov-herm-out", PovOperator, [[100.0, 2e-8], [0.0, 1.0]], COMPLEX, 1e-10, (ValidationError, POV_NOT_HERMITIAN)),
+    ("pov-eig-in", PovOperator, np.diag([100.0, -5e-11]), COMPLEX, 1e-10, None),
+    ("pov-eig-out", PovOperator, np.diag([100.0, -5e-9]), COMPLEX, 1e-10, (ValidationError, POV_NOT_PSD)),
+    ("ham-herm-in", Hamiltonian, [[100.0, 5e-9], [0.0, 1.0]], COMPLEX, 1e-10, None),
+    (
+        "ham-herm-out",
+        Hamiltonian,
+        [[100.0, 2e-8], [0.0, 1.0]],
+        COMPLEX,
+        1e-10,
+        (NotHermitianError, "Hermiticity defect 2.000e-08 exceeds tolerance"),
+    ),
+    ("ham-real-in", Hamiltonian, [[100.0, 5e-13j], [-5e-13j, 1.0]], REAL, 1e-10, None),
+    ("ham-real-out", Hamiltonian, [[100.0, 2e-12j], [-2e-12j, 1.0]], REAL, 1e-10, (NotRealError, IMAGINARY_2E12)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,mat,mode,tol,expected", [row[1:] for row in CONSTRUCTION], ids=[row[0] for row in CONSTRUCTION]
+)
+def test_construction_thresholds(cls, mat, mode, tol, expected):
+    mat = np.array(mat, dtype=complex)
+    if expected is None:
+        assert cls(mat, mode=mode, tol=tol).dim == 2
+        return
+    error, message = expected
+    with pytest.raises(error) as info:
+        cls(mat, mode=mode, tol=tol)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "cls,mat",
+    [
+        (Projector, np.diag([1.0, 0.0, 1.0])),
+        (DensityMatrix, np.diag([0.5, 0.25, 0.25])),
+        (PovOperator, np.diag([2.0, 0.0, 0.5])),
+        (Hamiltonian, np.diag([0.0, 1.0, 3.0])),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else "",
+)
+def test_operator_classes_are_sealed(cls, mat):
+    op = cls(mat)
+    assert op.dim == 3
+    assert repr(op) == f"{cls.__name__}(dim=3)"
+    for name in ("mat", "dim", "other"):
+        with pytest.raises(AttributeError) as info:
+            setattr(op, name, np.eye(3))
+        assert str(info.value) == f"{cls.__name__} is immutable"
+    assert not op.mat.flags.writeable
+    with pytest.raises(ValueError):
+        op.mat[0, 0] = 9.0
+    assert mat.flags.writeable  # the caller's array is copied, not frozen
+    mat[0, 0] = 7.0
+    assert op.mat[0, 0] != 7.0
 
 
 def test_real_mode_construction():
