@@ -194,17 +194,8 @@ def cmd_sample(spec: SystemSpec, args) -> tuple[str, dict]:
 
 
 def cmd_check(spec: SystemSpec, args) -> tuple[str, dict]:
-    fields = [
-        name
-        for name, value in [
-            ("cycle", spec.cycle),
-            ("rho", spec.rho),
-            ("hamiltonian", spec.hamiltonian),
-            ("projectors", spec.projectors),
-            ("algebra", spec.algebra),
-        ]
-        if value is not None and value != ()
-    ]
+    names = ("cycle", "rho", "hamiltonian", "projectors", "algebra")
+    fields = [name for name in names if getattr(spec, name) not in (None, ())]
     if spec.cycle is not None and spec.projectors:
         _require_char_vectors(spec)
     lines = [
@@ -268,9 +259,15 @@ def _fail(category: str, message) -> int:
     return 1
 
 
+def _attach_tol_values(argv: list[str]) -> list[str]:
+    """``--tol X`` as ``--tol=X``, so that argparse reads no value like ``-1e-10`` as an option."""
+    rest = iter(argv)
+    return [f"--tol={next(rest, '')}" if arg == "--tol" else arg for arg in rest]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_tol_values(sys.argv[1:] if argv is None else argv))
     mode = RealityMode.REAL if args.real else None
     try:
         if not (math.isfinite(args.tol) and args.tol > 0.0):

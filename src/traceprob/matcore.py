@@ -1,10 +1,13 @@
 """Dense complex matrix arithmetic and spectral decomposition.
 
 All matrices are square ``numpy`` arrays of ``complex128``. Class-membership
-checks (Hermitian, projector, density) are tolerance based: a matrix ``a``
-passes at tolerance ``tol`` when its defect is at most ``tol * max(1, |a|_max)``
-with ``|.|_max`` the largest entry magnitude. The default tolerance is
-robust for double precision at the dimensions this package targets (n <= 64).
+checks (Hermitian, projector, density) are tolerance based, one measured
+defect per check. The Hermiticity and idempotency defects of a matrix ``a``
+pass at tolerance ``tol`` when at most ``tol * max(1, |a|_max)``, with
+``|.|_max`` the largest entry magnitude; the unit-trace defect ``|tr a - 1|``
+and the smallest eigenvalue are held to ``tol`` and ``-tol`` themselves.
+The default tolerance is robust for double precision at the dimensions this
+package targets (n <= 64).
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError, ValidationError
+from .errors import NotHermitianError, ValidationError
 
 DEFAULT_TOL = 1e-10
 UNITARY_TOL = 1e-9
-RECONSTRUCTION_TOL = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:
@@ -30,7 +32,12 @@ def as_matrix(a) -> np.ndarray:
     ValidationError
         If the input is not square 2-D with dim >= 1, or carries NaN/Inf.
     """
-    mat = np.array(a, dtype=complex)
+    return _admit(np.array(a, dtype=complex))
+
+
+def _admit(a) -> np.ndarray:
+    """``a`` as a square finite complex matrix, copied only when not a complex array already."""
+    mat = np.asarray(a, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValidationError(f"expected a square matrix with dim >= 1, got shape {mat.shape}")
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
@@ -43,49 +50,55 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(np.asarray(a))))
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product of two equal-dimension square matrices."""
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape != bm.shape:
-        raise DimensionMismatchError(f"cannot multiply {am.shape[0]}x{am.shape[0]} by {bm.shape[0]}x{bm.shape[0]}")
-    return am @ bm
-
-
 def trace(a) -> complex:
     """Sum of the diagonal, correctly rounded (``math.fsum`` per component)."""
-    diag = np.diagonal(as_matrix(a))
+    diag = np.diagonal(_admit(a))
     return complex(math.fsum(diag.real), math.fsum(diag.imag))
+
+
+def relative_bound(mat: np.ndarray, tol: float) -> float:
+    """tol * max(1, |a|_max): the bound on the Hermiticity and idempotency defects."""
+    return tol * max(1.0, max_abs(mat))
+
+
+def hermiticity_defect(mat: np.ndarray) -> float:
+    """|a - a^dagger|_max of an admitted matrix."""
+    return max_abs(mat - mat.conj().T)
+
+
+def idempotency_defect(mat: np.ndarray) -> float:
+    """|a a - a|_max of an admitted matrix."""
+    return max_abs(mat @ mat - mat)
+
+
+def trace_defect(mat: np.ndarray) -> float:
+    """|tr a - 1| of an admitted matrix; compared with ``tol`` itself, not scaled."""
+    return abs(trace(mat) - 1.0)
+
+
+def min_eigenvalue(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of an admitted Hermitian matrix; compared with ``-tol``, not scaled."""
+    return float(np.min(np.linalg.eigvalsh(mat)))
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``a`` equals its adjoint within ``tol`` (relative to max(1, |a|_max))."""
-    mat = as_matrix(a)
-    return max_abs(mat - mat.conj().T) <= tol * max(1.0, max_abs(mat))
+    mat = _admit(a)
+    return hermiticity_defect(mat) <= relative_bound(mat, tol)
 
 
 def is_projector(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``a`` is Hermitian and idempotent within ``tol``."""
-    mat = as_matrix(a)
-    if not is_hermitian(mat, tol):
-        return False
-    return max_abs(mat @ mat - mat) <= tol * max(1.0, max_abs(mat))
+    mat = _admit(a)
+    bound = relative_bound(mat, tol)
+    return hermiticity_defect(mat) <= bound and idempotency_defect(mat) <= bound
 
 
 def is_density(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``a`` is Hermitian, positive semidefinite (eigenvalues >= -tol),
     and of unit trace (|trace - 1| <= tol)."""
-    mat = as_matrix(a)
-    if not is_hermitian(mat, tol):
-        return False
-    if abs(trace(mat) - 1.0) > tol:
-        return False
-    return float(np.min(np.linalg.eigvalsh(mat))) >= -tol
+    mat = _admit(a)
+    return is_hermitian(mat, tol) and trace_defect(mat) <= tol and min_eigenvalue(mat) >= -tol
 
 
 @dataclass(frozen=True)
@@ -125,11 +138,10 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     NotHermitianError
         If the Hermiticity defect exceeds ``tol * max(1, |a|_max)``.
     """
-    mat = as_matrix(a)
-    if not is_hermitian(mat, tol):
-        raise NotHermitianError(
-            f"Hermiticity defect {max_abs(mat - mat.conj().T):.3e} exceeds tolerance"
-        )
+    mat = _admit(a)
+    defect = hermiticity_defect(mat)
+    if defect > relative_bound(mat, tol):
+        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance")
     values, vectors = np.linalg.eigh(mat)
     n = mat.shape[0]
     pivot_rows = np.argmax(np.abs(vectors), axis=0)

@@ -22,41 +22,32 @@ from .errors import (
     NonFiniteError,
     NotSubsetError,
     NumericalIntegrityError,
+    SpecParseError,
+    TraceProbError,
     UnknownLabelError,
     ValidationError,
     ZeroConditionMeasureError,
     ZeroTotalMeasureError,
 )
-from .matcore import DEFAULT_TOL, is_hermitian, matrix_from_rows, matrix_to_rows
-from .quantum import DensityMatrix, RealityMode, enforce_reality
+from .matcore import DEFAULT_TOL, is_hermitian, matrix_from_rows, matrix_to_rows, min_eigenvalue
+from .quantum import DensityMatrix, Operator, RealityMode, enforce_reality
 
 ZERO_MEASURE_TOL = 1e-12
 MEASURE_SLACK = 1e-10
 
 
-class PovOperator:
+class PovOperator(Operator):
     """Positive semidefinite Hermitian operator; not required idempotent or <= I."""
 
-    __slots__ = ("mat",)
+    __slots__ = ()
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
         m = enforce_reality(mode, mat)
         if not is_hermitian(m, tol):
             raise ValidationError("POV operator must be Hermitian within tolerance")
-        if float(np.min(np.linalg.eigvalsh(m))) < -tol:
+        if min_eigenvalue(m) < -tol:
             raise ValidationError("POV operator must be positive semidefinite (eigenvalues >= -tol)")
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PovOperator is immutable")
-
-    def __repr__(self) -> str:
-        return f"PovOperator(dim={self.dim})"
+        self._seal(m)
 
 
 class PerceptionAlgebra:
@@ -78,7 +69,6 @@ class PerceptionAlgebra:
     __slots__ = ("_labels", "_atoms", "_memo")
 
     def __init__(self, atoms: Sequence[tuple[str, PovOperator]]):
-        labels = []
         table = {}
         for label, op in atoms:
             label = str(label)
@@ -86,14 +76,13 @@ class PerceptionAlgebra:
                 raise ValidationError(f"duplicate atom label {label!r}")
             if not isinstance(op, PovOperator):
                 raise ValidationError("atoms must map labels to PovOperator values")
-            labels.append(label)
             table[label] = op
-        if not labels:
+        if not table:
             raise ValidationError("algebra needs at least one atom")
         dims = {op.dim for op in table.values()}
         if len(dims) != 1:
             raise DimensionMismatchError(f"atom operators have mixed dims {sorted(dims)}")
-        object.__setattr__(self, "_labels", tuple(labels))
+        object.__setattr__(self, "_labels", tuple(table))
         object.__setattr__(self, "_atoms", table)
         object.__setattr__(self, "_memo", None)
 
@@ -165,11 +154,8 @@ def _resolve_labels(alg: PerceptionAlgebra, s: Iterable[str]) -> set[str]:
 def union_operator(alg: PerceptionAlgebra, s: Iterable[str]) -> PovOperator:
     """Sum of the atom operators of ``s``; the empty set gives the zero operator."""
     labels = _resolve_labels(alg, s)
-    total = np.zeros((alg.dim, alg.dim), dtype=complex)
-    for label in alg.labels:
-        if label in labels:
-            total = total + alg.atom(label).mat
-    return PovOperator(total)
+    zero = np.zeros((alg.dim, alg.dim), dtype=complex)
+    return PovOperator(sum((alg.atom(label).mat for label in alg.labels if label in labels), zero))
 
 
 def _checked_measure(value: float) -> float:
@@ -236,12 +222,29 @@ def algebra_to_obj(alg: PerceptionAlgebra) -> dict:
 def algebra_from_obj(
     obj: Mapping, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL
 ) -> PerceptionAlgebra:
-    """Parse the JSON form produced by :func:`algebra_to_obj`."""
-    if not isinstance(obj, Mapping) or "atoms" not in obj or not isinstance(obj["atoms"], list):
-        raise ValidationError('algebra must be an object with an "atoms" array')
+    """Parse the JSON form produced by :func:`algebra_to_obj`.
+
+    The form is strict: one key "atoms", an array of objects with exactly the
+    keys "label" (a string) and "operator" (rows). A break of the form raises
+    SpecParseError, an invalid operator :class:`PovOperator`'s own error; both
+    name the atom as ``algebra atom <i> (<label>)``.
+    """
+    if not isinstance(obj, Mapping) or set(obj) != {"atoms"} or not isinstance(obj["atoms"], list):
+        raise SpecParseError('algebra must be an object whose only key is an "atoms" array')
     pairs = []
     for i, atom in enumerate(obj["atoms"]):
-        if not isinstance(atom, Mapping) or "label" not in atom or "operator" not in atom:
-            raise ValidationError(f'algebra atom {i} must carry "label" and "operator"')
-        pairs.append((str(atom["label"]), matrix_from_rows(atom["operator"])))
-    return PerceptionAlgebra.from_matrices(pairs, mode=mode, tol=tol)
+        if not isinstance(atom, Mapping) or set(atom) != {"label", "operator"}:
+            raise SpecParseError(f'algebra atom {i} must be an object with exactly the keys "label" and "operator"')
+        label = atom["label"]
+        if not isinstance(label, str):
+            raise SpecParseError(f"algebra atom {i}: label must be a string, got {type(label).__name__}")
+        where = f"algebra atom {i} ({label!r})"
+        try:
+            mat = matrix_from_rows(atom["operator"])
+        except ValidationError as exc:
+            raise SpecParseError(f"{where}: {exc}") from exc
+        try:
+            pairs.append((label, PovOperator(mat, mode=mode, tol=tol)))
+        except TraceProbError as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
+    return PerceptionAlgebra(pairs)

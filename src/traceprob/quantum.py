@@ -44,50 +44,53 @@ def enforce_reality(mode: RealityMode, a) -> np.ndarray:
     return mat
 
 
-class Projector:
-    """Hermitian idempotent operator, validated once at construction."""
+class Operator:
+    """Square complex matrix that passed its class's checks, sealed read-only.
+
+    Each subclass admits its input once through :func:`enforce_reality`, runs
+    its own checks on that copy and seals it with ``_seal``; instances are
+    immutable.
+    """
 
     __slots__ = ("mat",)
+
+    def _seal(self, m: np.ndarray) -> None:
+        m.setflags(write=False)
+        object.__setattr__(self, "mat", m)
+
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[0]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.dim})"
+
+
+class Projector(Operator):
+    """Hermitian idempotent operator, validated once at construction."""
+
+    __slots__ = ()
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
         m = enforce_reality(mode, mat)
         if not is_projector(m, tol):
             raise ValidationError("matrix is not a projector (Hermitian idempotent) within tolerance")
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Projector is immutable")
-
-    def __repr__(self) -> str:
-        return f"Projector(dim={self.dim})"
+        self._seal(m)
 
 
-class DensityMatrix:
+class DensityMatrix(Operator):
     """Positive semidefinite Hermitian unit-trace operator, validated once."""
 
-    __slots__ = ("mat",)
+    __slots__ = ()
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
         m = enforce_reality(mode, mat)
         if not is_density(m, tol):
             raise ValidationError("matrix is not a density matrix (PSD Hermitian, unit trace) within tolerance")
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix is immutable")
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim})"
+        self._seal(m)
 
 
 def trace_prob(p: Projector, rho: DensityMatrix) -> float:
@@ -150,8 +153,6 @@ def projector_meet(p: Projector, q: Projector) -> Projector:
     For non-commuting projectors the product is not a projection operator,
     so the meet is refused with NonCommutingError rather than returned.
     """
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"dims {p.dim} vs {q.dim}")
     if not commutes(p.mat, q.mat, DEFAULT_TOL):
         raise NonCommutingError("projectors do not commute; their product is not a projection operator")
     return Projector(p.mat @ q.mat)

@@ -55,18 +55,6 @@ class SampleReport:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "SampleReport":
-        return cls(
-            outcomes=tuple(str(x) for x in obj["outcomes"]),
-            counts=tuple(int(x) for x in obj["counts"]),
-            total=int(obj["total"]),
-            empirical_freqs=tuple(float(x) for x in obj["empirical_freqs"]),
-            expected_probs=tuple(float(x) for x in obj["expected_probs"]),
-            max_abs_deviation=float(obj["max_abs_deviation"]),
-            seed=int(obj["seed"]),
-        )
-
 
 def _build_report(
     outcomes: Sequence[str], counts: np.ndarray, total: int, expected: Sequence[float], seed: int

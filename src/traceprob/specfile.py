@@ -71,14 +71,12 @@ def _parse_cycle(obj) -> ClassicalCycle:
         isinstance(e, list) and len(e) == 2 for e in schedule
     ):
         raise SpecParseError("cycle schedule must be a list of [state, duration] pairs")
-    entries = []
     for i, (state, duration) in enumerate(schedule):
         if not _is_int(state):
             raise SpecParseError(f"cycle schedule entry {i}: state must be an integer, got {type(state).__name__}")
         if not (_is_int(duration) or isinstance(duration, float)):
             raise SpecParseError(f"cycle schedule entry {i}: duration must be a number, got {type(duration).__name__}")
-        entries.append((state, duration))
-    return ClassicalCycle(n, entries)
+    return ClassicalCycle(n, schedule)
 
 
 def load_system_spec(
@@ -118,15 +116,11 @@ def load_system_spec(
 
     cycle = _parse_cycle(obj["cycle"]) if "cycle" in obj else None
 
-    rho = None
-    if "rho" in obj:
-        rho = DensityMatrix(_parse_matrix(obj["rho"], "rho"), mode=mode, tol=tol)
+    def operator(cls, key: str):
+        return cls(_parse_matrix(obj[key], key), mode=mode, tol=tol) if key in obj else None
 
-    hamiltonian = None
-    if "hamiltonian" in obj:
-        hamiltonian = Hamiltonian(
-            _parse_matrix(obj["hamiltonian"], "hamiltonian"), mode=mode, tol=tol
-        )
+    rho = operator(DensityMatrix, "rho")
+    hamiltonian = operator(Hamiltonian, "hamiltonian")
 
     projectors: list[LabeledProjector] = []
     if "projectors" in obj:
@@ -134,34 +128,18 @@ def load_system_spec(
         if not isinstance(raw, dict) or not raw:
             raise SpecParseError("projectors must be a nonempty object of label -> value")
         for label, value in raw.items():
-            if _is_char_vector(value):
-                pset = PerceptionSet(tuple(value))
-                proj = Projector(diag_projector(pset), mode=mode, tol=tol)
-                projectors.append(LabeledProjector(str(label), proj, pset.chi))
-            else:
-                mat = _parse_matrix(value, f"projector {label!r}")
-                projectors.append(
-                    LabeledProjector(str(label), Projector(mat, mode=mode, tol=tol))
-                )
+            pset = PerceptionSet(value) if _is_char_vector(value) else None
+            mat = diag_projector(pset) if pset is not None else _parse_matrix(value, f"projector {label!r}")
+            chi = pset.chi if pset is not None else None
+            projectors.append(LabeledProjector(str(label), Projector(mat, mode=mode, tol=tol), chi))
 
-    algebra = None
-    if "algebra" in obj:
-        try:
-            algebra = algebra_from_obj(obj["algebra"], mode=mode, tol=tol)
-        except (KeyError, TypeError) as exc:
-            raise SpecParseError(f"algebra: {exc}") from exc
+    algebra = algebra_from_obj(obj["algebra"], mode=mode, tol=tol) if "algebra" in obj else None
 
-    dims = {}
-    if cycle is not None:
-        dims["cycle"] = cycle.n
-    if rho is not None:
-        dims["rho"] = rho.dim
-    if hamiltonian is not None:
-        dims["hamiltonian"] = hamiltonian.dim
-    for lp in projectors:
-        dims[f"projector {lp.label!r}"] = lp.projector.dim
-    if algebra is not None:
-        dims["algebra"] = algebra.dim
+    fields = [("rho", rho), ("hamiltonian", hamiltonian)]
+    fields += [(f"projector {lp.label!r}", lp.projector) for lp in projectors]
+    fields.append(("algebra", algebra))
+    dims = {"cycle": cycle.n} if cycle is not None else {}
+    dims.update((name, value.dim) for name, value in fields if value is not None)
     if len(set(dims.values())) > 1:
         parts = ", ".join(f"{k}={v}" for k, v in dims.items())
         raise SpecParseError(f"dimension mismatch across fields: {parts}")

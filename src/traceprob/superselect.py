@@ -23,44 +23,31 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .matcore import DEFAULT_TOL, EigenDecomposition, as_matrix, hermitian_eig, max_abs
-from .quantum import DensityMatrix, Projector, RealityMode, enforce_reality
+from .matcore import DEFAULT_TOL, hermitian_eig, max_abs
+from .quantum import DensityMatrix, Operator, Projector, RealityMode, enforce_reality
 
 COMPLIANCE_TOL = 1e-9
 
 
-class Hamiltonian:
+class Hamiltonian(Operator):
     """Hermitian generator of time evolution (hbar = 1).
 
     The eigendecomposition is computed at construction; the energy blocks of
     the last clustering tolerance asked for are cached in a private slot.
     """
 
-    __slots__ = ("mat", "eig", "_blocks")
+    __slots__ = ("eig", "_blocks")
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
-        m = as_matrix(mat)
-        enforce_reality(mode, m)
-        eig = hermitian_eig(m, tol=tol)
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "eig", eig)
+        m = enforce_reality(mode, mat)
+        object.__setattr__(self, "eig", hermitian_eig(m, tol=tol))
         object.__setattr__(self, "_blocks", None)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+        self._seal(m)
 
     @property
     def energies(self) -> np.ndarray:
         """Ascending eigenvalues."""
         return self.eig.eigenvalues
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hamiltonian is immutable")
-
-    def __repr__(self) -> str:
-        return f"Hamiltonian(dim={self.dim})"
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,6 @@ from traceprob import (
     PovOperator,
     Projector,
     RealityMode,
-    adjoint,
     char_and,
     check_invariance,
     classical_density,
@@ -36,7 +35,6 @@ from traceprob import (
     dwell_fractions,
     energy_blocks,
     evolve,
-    mat_mul,
     max_abs,
     measure_of,
     normalized_prob,
@@ -133,8 +131,8 @@ def _check_meets_and_defect(mode: RealityMode) -> tuple[bool, str]:
                 pairs += 1
     p_diag = Projector(np.diag([1.0, 0.0]), mode=mode)
     p_plus = Projector(np.full((2, 2), 0.5), mode=mode)
-    product = mat_mul(p_diag.mat, p_plus.mat)
-    defect = max_abs(product - adjoint(product))
+    product = p_diag.mat @ p_plus.mat
+    defect = max_abs(product - product.conj().T)
     if abs(defect - 0.5) > 1e-12:
         return False, f"Hermiticity defect {defect!r} is not 0.5"
     try:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from traceprob import matrix_to_rows
 from traceprob.cli import main
@@ -141,6 +147,109 @@ def test_measure_subcommand(tmp_path, capsys):
     assert abs(atoms["a"]["measure"] - 0.6) <= 1e-12
     assert abs(atoms["a"]["normalized_prob"] - 0.3) <= 1e-12
     assert abs(payload["total_measure"] - 2.0) <= 1e-12
+
+
+ONE_ROWS = [[[1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "algebra,category,message",
+    [
+        (
+            {"atoms": [{"label": [1], "operator": ONE_ROWS}]},
+            "SpecParse",
+            "algebra atom 0: label must be a string, got list",
+        ),
+        (
+            {"atoms": [{"label": "a", "operator": ONE_ROWS, "z": 1}]},
+            "SpecParse",
+            'algebra atom 0 must be an object with exactly the keys "label" and "operator"',
+        ),
+        (
+            {"atoms": [{"label": "a", "operator": ONE_ROWS}], "z": 1},
+            "SpecParse",
+            'algebra must be an object whose only key is an "atoms" array',
+        ),
+        (
+            {"atoms": [{"label": "a", "operator": ONE_ROWS}, {"label": "b", "operator": [[[1.0, "x"]]]}]},
+            "SpecParse",
+            "algebra atom 1 ('b'): matrix entry (0,0) must be a [re, im] pair of numbers",
+        ),
+        (
+            {"atoms": [{"label": "a", "operator": ONE_ROWS}, {"label": "b", "operator": [[[-1.0, 0.0]]]}]},
+            "Validation",
+            "algebra atom 1 ('b'): POV operator must be positive semidefinite (eigenvalues >= -tol)",
+        ),
+    ],
+    ids=["label-not-string", "unknown-atom-key", "unknown-algebra-key", "bad-atom-matrix", "atom-not-psd"],
+)
+@pytest.mark.parametrize("command", ["measure", "check"])
+def test_algebra_defects_name_the_atom(tmp_path, capsys, command, algebra, category, message):
+    spec = write_spec(tmp_path, {"rho": ONE_ROWS, "algebra": algebra})
+    code, out, err = run_cli(capsys, command, "--spec", spec)
+    assert code == 1
+    assert out == ""
+    assert err == f"error[{category}]: {message}\n"
+
+
+GOLDEN_MEASURE = json.loads((Path(__file__).resolve().parent / "golden" / "measure.json").read_text(encoding="utf-8"))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8) | st.sampled_from(["a0", "a1"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def mutated_algebras(draw):
+    """The golden measure spec's algebra with one to three random edits: a
+    value replaced by any JSON value or by a number, a key or element deleted,
+    or a key or element added, at a random depth, most often down at a single
+    number of an operator entry."""
+    root = [copy.deepcopy(GOLDEN_MEASURE["algebra"])]
+    for _ in range(draw(st.integers(1, 3))):
+        holder, key = root, 0
+        for _ in range(draw(st.sampled_from(range(7, -1, -1)))):
+            node = holder[key]
+            if isinstance(node, dict) and node:
+                holder, key = node, draw(st.sampled_from(sorted(node)))
+            elif isinstance(node, list) and node:
+                holder, key = node, draw(st.integers(0, len(node) - 1))
+            else:
+                break
+        edit = draw(st.sampled_from(["replace", "delete", "add", "number"]))
+        target = holder[key]
+        if edit == "number":
+            holder[key] = draw(st.floats() | st.integers())
+        elif edit == "delete" and holder is not root:
+            del holder[key]
+        elif edit == "add" and isinstance(target, dict):
+            target[draw(st.text(max_size=8))] = draw(JSON_VALUES)
+        elif edit == "add" and isinstance(target, list):
+            target.insert(draw(st.integers(0, len(target))), draw(JSON_VALUES))
+        else:
+            holder[key] = draw(JSON_VALUES)
+    return root[0]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(algebra=mutated_algebras())
+def test_mutated_algebra_gives_an_answer_or_one_error_line(tmp_path_factory, algebra):
+    spec = tmp_path_factory.mktemp("algebra") / "system.json"
+    spec.write_text(json.dumps({"rho": GOLDEN_MEASURE["rho"], "algebra": algebra}), encoding="utf-8")
+    for command in ("measure", "check"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--spec", str(spec)])
+        if code == 0:
+            assert out.getvalue() and not err.getvalue()
+        else:
+            assert code == 1
+            assert out.getvalue() == ""
+            text = err.getvalue()
+            assert text.startswith("error[") and text.count("\n") == 1 and text.endswith("\n")
+            assert len(text) <= 300, text
 
 
 # --- sample ---
@@ -418,11 +527,19 @@ def test_out_into_missing_directory(tmp_path, capsys):
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-10"])
-def test_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+BAD_TOLS = ["inf", "-inf", "nan", "0", "-1e-10"]
+
+
+@pytest.mark.parametrize(
+    "tol,spelling",
+    [(t, "--tol=") for t in BAD_TOLS] + [(t, "--tol ") for t in BAD_TOLS],
+    ids=BAD_TOLS + [f"{t}-separate" for t in BAD_TOLS],
+)
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, tol, spelling):
     # rho = [[5]] has trace 5: only an infinite tolerance would let it through
     spec = write_spec(tmp_path, {"rho": matrix_to_rows(np.array([[5.0]])), "projectors": {"p": [1]}})
-    code, out, err = run_cli(capsys, "quantum", "--spec", spec, f"--tol={tol}")
+    tol_args = [f"--tol={tol}"] if spelling == "--tol=" else ["--tol", tol]
+    code, out, err = run_cli(capsys, "quantum", "--spec", spec, *tol_args)
     assert code == 1
     assert out == ""
     _one_error_line(err, "Validation")

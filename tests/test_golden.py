@@ -9,7 +9,11 @@ meant to keep the CLI's numbers.
 To record the corpus from a source tree, run this file as a script with that
 tree on the path::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case-id ...]
+
+With case ids (``<spec stem>-<subcommand>``, e.g. ``generic-sample``) only
+those cases are recorded again and every other expected file is left as it
+is; with none, all of them are.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,13 +95,18 @@ def test_golden_corpus_is_complete():
     assert {c[1] for c in CASES} == {"classical", "quantum", "dephase", "measure", "sample", "check"}
 
 
-def record() -> None:
+def record(case_ids=()) -> None:
+    """Write the expected file of each named case, or of every case when none is named."""
+    known = {_case_id(c): c for c in CASES}
+    unknown = sorted(set(case_ids) - set(known))
+    if unknown:
+        raise SystemExit(f"unknown golden case ids: {unknown}; known: {sorted(known)}")
     EXPECTED.mkdir(exist_ok=True)
-    for case in CASES:
-        payload = _run(*case)
-        path = EXPECTED / f"{_case_id(case)}.json"
+    for case_id in case_ids or known:
+        payload = _run(*known[case_id])
+        path = EXPECTED / f"{case_id}.json"
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

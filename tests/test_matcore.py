@@ -7,16 +7,13 @@ import pytest
 
 from helpers import random_hermitian, random_projector
 from traceprob import (
-    DimensionMismatchError,
     NotHermitianError,
     ValidationError,
-    adjoint,
     as_matrix,
     hermitian_eig,
     is_density,
     is_hermitian,
     is_projector,
-    mat_mul,
     matrix_from_rows,
     matrix_to_rows,
     max_abs,
@@ -40,51 +37,6 @@ def test_as_matrix_rejects_non_finite():
         as_matrix([[1.0, np.inf], [0.0, 1.0]])
 
 
-def test_adjoint_identity():
-    np.testing.assert_array_equal(adjoint(np.eye(3)), np.eye(3).astype(complex))
-
-
-def test_adjoint_example():
-    a = np.array([[0.0, 1j], [0.0, 0.0]])
-    np.testing.assert_array_equal(adjoint(a), np.array([[0.0, 0.0], [-1j, 0.0]]))
-
-
-def test_adjoint_involution():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        np.testing.assert_array_equal(adjoint(adjoint(a)), a)
-
-
-def test_mat_mul_identity():
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    np.testing.assert_allclose(mat_mul(a, np.eye(4)), a, atol=0.0)
-
-
-def test_mat_mul_disjoint_diagonals():
-    np.testing.assert_array_equal(
-        mat_mul(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.zeros((2, 2), dtype=complex)
-    )
-
-
-def test_mat_mul_matches_triple_loop():
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    expected = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                expected[i, j] += a[i, k] * b[k, j]
-    assert max_abs(mat_mul(a, b) - expected) <= 1e-12
-
-
-def test_mat_mul_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        mat_mul(np.eye(2), np.eye(3))
-
-
 def test_trace_identity():
     for n in (1, 3, 6):
         assert trace(np.eye(n)) == complex(n)
@@ -99,7 +51,7 @@ def test_trace_cyclicity():
     for _ in range(20):
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        assert abs(trace(mat_mul(a, b)) - trace(mat_mul(b, a))) <= 1e-12
+        assert abs(trace(a @ b) - trace(b @ a)) <= 1e-12
 
 
 def test_hermitian_eig_diagonal_sorted():

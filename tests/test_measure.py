@@ -19,6 +19,7 @@ from traceprob import (
     PovOperator,
     Projector,
     RealityMode,
+    SpecParseError,
     UnknownLabelError,
     ValidationError,
     ZeroConditionMeasureError,
@@ -329,7 +330,13 @@ def test_algebra_json_round_trip():
 
 
 def test_algebra_from_obj_rejects_malformed():
-    with pytest.raises(ValidationError):
+    with pytest.raises(SpecParseError):
         algebra_from_obj({"atoms": [{"label": "a"}]})
-    with pytest.raises(ValidationError):
+    with pytest.raises(SpecParseError):
         algebra_from_obj({})
+
+
+def test_algebra_from_obj_keeps_the_operator_error_type():
+    obj = {"atoms": [{"label": "a", "operator": [[[1.0, 1.0]]]}]}
+    with pytest.raises(NotRealError, match=r"^algebra atom 0 \('a'\): imaginary part"):
+        algebra_from_obj(obj, mode=RealityMode.REAL)

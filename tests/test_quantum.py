@@ -27,7 +27,6 @@ from traceprob import (
     Projector,
     RealityMode,
     ValidationError,
-    adjoint,
     check_invariance,
     classical_density,
     classical_prob,
@@ -364,7 +363,7 @@ def test_non_commuting_product_hermiticity_defect():
     # its defect in max-norm is exactly one half.
     product = np.diag([1.0, 0.0]).astype(complex) @ PLUS_STATE
     np.testing.assert_array_equal(product, np.array([[0.5, 0.5], [0.0, 0.0]]))
-    assert abs(max_abs(product - adjoint(product)) - 0.5) <= 1e-12
+    assert abs(max_abs(product - product.conj().T) - 0.5) <= 1e-12
 
 
 def test_is_pure():
