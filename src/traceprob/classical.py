@@ -65,28 +65,25 @@ class ClassicalCycle:
             raise ValidationError(
                 f"every state must appear in the schedule; {len(missing)} missing, first {missing[:MISSING_SHOWN]}"
             )
-        # The period is an exact fsum in dwell_fractions and a running sum in
-        # the time lookups; either may overflow first.
-        with np.errstate(over="ignore"):
-            try:
-                finite = math.isfinite(math.fsum(d for _, d in self.schedule)) and math.isfinite(self.period)
-            except OverflowError:
-                finite = False
-        if not finite:
-            raise ValidationError("schedule period (the sum of the durations) is not finite")
+        try:
+            self.period  # an fsum of finite durations is finite or raises OverflowError
+        except OverflowError:
+            raise ValidationError("schedule period (the sum of the durations) is not finite") from None
 
     @cached_property
     def _boundaries(self) -> np.ndarray:
-        """Cumulative dwell end times; the last entry is the period T."""
-        return np.cumsum([duration for _, duration in self.schedule])
+        """Cumulative dwell end times, a running sum that may differ from ``period`` in the last bits."""
+        with np.errstate(over="ignore"):  # rounding up may take it past a finite period to inf; lookups allow that
+            return np.cumsum([duration for _, duration in self.schedule])
 
     @cached_property
     def _states(self) -> np.ndarray:
         return np.array([state for state, _ in self.schedule], dtype=np.int64)
 
-    @property
+    @cached_property
     def period(self) -> float:
-        return float(self._boundaries[-1])
+        """The correctly rounded sum of the durations (``math.fsum``)."""
+        return math.fsum(duration for _, duration in self.schedule)
 
     def state_at(self, t: float) -> int:
         """State occupied at time t (t reduced mod T, dwells half-open [start, end))."""
@@ -229,6 +226,5 @@ def dwell_fractions(c: ClassicalCycle) -> FractionVector:
     per_state: list[list[float]] = [[] for _ in range(c.n)]
     for state, duration in c.schedule:
         per_state[state - 1].append(duration)
-    period = math.fsum(duration for _, duration in c.schedule)
-    totals = [math.fsum(durations) / period for durations in per_state]
+    totals = [math.fsum(durations) / c.period for durations in per_state]
     return FractionVector(totals)

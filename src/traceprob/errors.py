@@ -1,5 +1,7 @@
 """Exception hierarchy shared by every module in the package."""
 
+from contextlib import contextmanager
+
 
 class TraceProbError(Exception):
     """Base class for all errors raised by this package."""
@@ -59,3 +61,12 @@ class NumericalIntegrityError(TraceProbError):
 
 class SpecParseError(TraceProbError):
     """A system spec file is missing, malformed, or violates the schema."""
+
+
+@contextmanager
+def located(where: str, as_type: type[TraceProbError] | None = None):
+    """Re-raise a TraceProbError from the block as ``<where>: <message>``, as ``as_type`` if given."""
+    try:
+        yield
+    except TraceProbError as exc:
+        raise (as_type or type(exc))(f"{where}: {exc}") from exc

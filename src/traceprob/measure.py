@@ -21,16 +21,15 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteError,
     NotSubsetError,
-    NumericalIntegrityError,
     SpecParseError,
-    TraceProbError,
     UnknownLabelError,
     ValidationError,
     ZeroConditionMeasureError,
     ZeroTotalMeasureError,
+    located,
 )
 from .matcore import DEFAULT_TOL, is_hermitian, matrix_from_rows, matrix_to_rows, min_eigenvalue
-from .quantum import DensityMatrix, Operator, RealityMode, enforce_reality
+from .quantum import PROB_SLACK, DensityMatrix, Operator, RealityMode, Sealed, bounded, enforce_reality
 
 ZERO_MEASURE_TOL = 1e-12
 MEASURE_SLACK = 1e-10
@@ -50,7 +49,7 @@ class PovOperator(Operator):
         self._seal(m)
 
 
-class PerceptionAlgebra:
+class PerceptionAlgebra(Sealed):
     """Finite family of labeled disjoint atoms, one positive operator each.
 
     Sets are subsets of the atom labels; the operator of a set is the sum of
@@ -125,9 +124,6 @@ class PerceptionAlgebra:
         object.__setattr__(self, "_memo", (rho, e, total))
         return e, total
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PerceptionAlgebra is immutable")
-
     def __repr__(self) -> str:
         return f"PerceptionAlgebra(atoms={list(self._labels)!r})"
 
@@ -158,14 +154,6 @@ def union_operator(alg: PerceptionAlgebra, s: Iterable[str]) -> PovOperator:
     return PovOperator(sum((alg.atom(label).mat for label in alg.labels if label in labels), zero))
 
 
-def _checked_measure(value: float) -> float:
-    if not math.isfinite(value):
-        raise NonFiniteError(f"measure {value!r} is not finite")
-    if value < -MEASURE_SLACK:
-        raise NumericalIntegrityError(f"measure {value!r} below 0 beyond {MEASURE_SLACK}")
-    return max(value, 0.0)
-
-
 def measure_of(alg: PerceptionAlgebra, s: Iterable[str], rho: DensityMatrix) -> float:
     """Unnormalized measure of the set: Re tr(P(S) rho), clamped at 0.
 
@@ -176,12 +164,12 @@ def measure_of(alg: PerceptionAlgebra, s: Iterable[str], rho: DensityMatrix) -> 
     re-validated.
     """
     e, _ = alg._expectations(rho)
-    return _checked_measure(_fsum(e[label] for label in _resolve_labels(alg, s)))
+    return bounded(_fsum(e[label] for label in _resolve_labels(alg, s)), "measure", MEASURE_SLACK)
 
 
 def total_measure(alg: PerceptionAlgebra, rho: DensityMatrix) -> float:
     """Measure of the full perception set (all atoms)."""
-    return _checked_measure(alg._expectations(rho)[1])
+    return bounded(alg._expectations(rho)[1], "measure", MEASURE_SLACK)
 
 
 def normalized_prob(alg: PerceptionAlgebra, s: Iterable[str], rho: DensityMatrix) -> float:
@@ -189,16 +177,13 @@ def normalized_prob(alg: PerceptionAlgebra, s: Iterable[str], rho: DensityMatrix
     total = total_measure(alg, rho)
     if total <= ZERO_MEASURE_TOL:
         raise ZeroTotalMeasureError(f"total measure {total!r} <= {ZERO_MEASURE_TOL}; cannot normalize")
-    ratio = measure_of(alg, s, rho) / total
-    if ratio > 1.0 + 1e-9:
-        raise NumericalIntegrityError(f"normalized probability {ratio!r} exceeds 1 beyond 1e-9")
-    return min(max(ratio, 0.0), 1.0)
+    return bounded(measure_of(alg, s, rho) / total, "normalized probability", PROB_SLACK, 1.0)
 
 
 def conditional_prob(
     alg: PerceptionAlgebra, s_sub: Iterable[str], m_sub: Iterable[str], rho: DensityMatrix
 ) -> float:
-    """Conditional probability measure(S') / measure(M') for S' inside M'."""
+    """Conditional probability measure(S') / measure(M') for S' inside M', clamped to [0, 1]."""
     s_labels = _resolve_labels(alg, s_sub)
     m_labels = _resolve_labels(alg, m_sub)
     if not s_labels <= m_labels:
@@ -207,7 +192,7 @@ def conditional_prob(
     denom = measure_of(alg, m_labels, rho)
     if denom <= ZERO_MEASURE_TOL:
         raise ZeroConditionMeasureError(f"conditioning measure {denom!r} <= {ZERO_MEASURE_TOL}")
-    return measure_of(alg, s_labels, rho) / denom
+    return bounded(measure_of(alg, s_labels, rho) / denom, "conditional probability", PROB_SLACK, 1.0)
 
 
 def algebra_to_obj(alg: PerceptionAlgebra) -> dict:
@@ -226,12 +211,14 @@ def algebra_from_obj(
 
     The form is strict: one key "atoms", an array of objects with exactly the
     keys "label" (a string) and "operator" (rows). A break of the form raises
-    SpecParseError, an invalid operator :class:`PovOperator`'s own error; both
-    name the atom as ``algebra atom <i> (<label>)``.
+    SpecParseError, as does a label repeated, and an invalid operator
+    :class:`PovOperator`'s own error, or DimensionMismatchError when its dim
+    differs from atom 0's; all name the atom as ``algebra atom <i> (<label>)``.
     """
     if not isinstance(obj, Mapping) or set(obj) != {"atoms"} or not isinstance(obj["atoms"], list):
         raise SpecParseError('algebra must be an object whose only key is an "atoms" array')
-    pairs = []
+    ops: dict[str, PovOperator] = {}
+    dim0 = 0
     for i, atom in enumerate(obj["atoms"]):
         if not isinstance(atom, Mapping) or set(atom) != {"label", "operator"}:
             raise SpecParseError(f'algebra atom {i} must be an object with exactly the keys "label" and "operator"')
@@ -239,12 +226,13 @@ def algebra_from_obj(
         if not isinstance(label, str):
             raise SpecParseError(f"algebra atom {i}: label must be a string, got {type(label).__name__}")
         where = f"algebra atom {i} ({label!r})"
-        try:
+        with located(where, SpecParseError):
+            if label in ops:
+                raise SpecParseError(f"label repeats atom {list(ops).index(label)}")
             mat = matrix_from_rows(atom["operator"])
-        except ValidationError as exc:
-            raise SpecParseError(f"{where}: {exc}") from exc
-        try:
-            pairs.append((label, PovOperator(mat, mode=mode, tol=tol)))
-        except TraceProbError as exc:
-            raise type(exc)(f"{where}: {exc}") from exc
-    return PerceptionAlgebra(pairs)
+        with located(where):
+            dim0 = dim0 or len(mat)
+            if len(mat) != dim0:
+                raise DimensionMismatchError(f"operator dim {len(mat)} differs from atom 0's dim {dim0}")
+            ops[label] = PovOperator(mat, mode=mode, tol=tol)
+    return PerceptionAlgebra(list(ops.items()))

@@ -9,6 +9,7 @@ they commute; for non-commuting pairs the meet is refused.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NonCommutingError,
+    NonFiniteError,
     NotRealError,
     NotUnitaryError,
     NumericalIntegrityError,
@@ -44,12 +46,32 @@ def enforce_reality(mode: RealityMode, a) -> np.ndarray:
     return mat
 
 
-class Operator:
+def bounded(value: float, what: str, slack: float, upper: float = math.inf) -> float:
+    """``value`` clamped to [0, upper], the guard on every probability and measure returned;
+    NonFiniteError if not finite, NumericalIntegrityError if outside by more than ``slack``."""
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{what} {value!r} is not finite")
+    if value < -slack or value > upper + slack:
+        raise NumericalIntegrityError(f"{what} {value!r} outside [0, {upper:g}] beyond {slack}")
+    return min(max(value, 0.0), upper)
+
+
+class Sealed:
+    """Immutable base: attribute writes and deletes are refused (constructors use object.__setattr__)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__  # called as (self, name); ``value`` defaults
+
+
+class Operator(Sealed):
     """Square complex matrix that passed its class's checks, sealed read-only.
 
     Each subclass admits its input once through :func:`enforce_reality`, runs
-    its own checks on that copy and seals it with ``_seal``; instances are
-    immutable.
+    its own checks on that copy and seals it with ``_seal``.
     """
 
     __slots__ = ("mat",)
@@ -61,9 +83,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -110,10 +129,7 @@ def trace_prob(p: Projector, rho: DensityMatrix) -> float:
     t = complex(np.einsum("ij,ji->", p.mat, rho.mat))
     if abs(t.imag) > PROB_SLACK:
         raise NumericalIntegrityError(f"trace imaginary part {t.imag:.3e} exceeds {PROB_SLACK}")
-    value = t.real
-    if value < -PROB_SLACK or value > 1.0 + PROB_SLACK:
-        raise NumericalIntegrityError(f"trace probability {value!r} outside [0, 1] beyond {PROB_SLACK}")
-    return min(max(value, 0.0), 1.0)
+    return bounded(t.real, "trace probability", PROB_SLACK, 1.0)
 
 
 def unitary_conjugate(u, a) -> np.ndarray:
@@ -138,13 +154,13 @@ def check_invariance(p: Projector, rho: DensityMatrix, u) -> float:
     return abs(trace_prob(p, rho) - trace_prob(p_tilde, rho_tilde))
 
 
-def commutes(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """Whether |ab - ba|_max <= tol * max(1, |a|_max * |b|_max)."""
+def commutes(a, b) -> bool:
+    """Whether |ab - ba|_max <= 1e-10 * max(1, |a|_max * |b|_max)."""
     am = as_matrix(a)
     bm = as_matrix(b)
     if am.shape != bm.shape:
         raise DimensionMismatchError(f"dims {am.shape[0]} vs {bm.shape[0]}")
-    return max_abs(am @ bm - bm @ am) <= tol * max(1.0, max_abs(am) * max_abs(bm))
+    return max_abs(am @ bm - bm @ am) <= DEFAULT_TOL * max(1.0, max_abs(am) * max_abs(bm))
 
 
 def projector_meet(p: Projector, q: Projector) -> Projector:
@@ -153,11 +169,11 @@ def projector_meet(p: Projector, q: Projector) -> Projector:
     For non-commuting projectors the product is not a projection operator,
     so the meet is refused with NonCommutingError rather than returned.
     """
-    if not commutes(p.mat, q.mat, DEFAULT_TOL):
+    if not commutes(p.mat, q.mat):
         raise NonCommutingError("projectors do not commute; their product is not a projection operator")
     return Projector(p.mat @ q.mat)
 
 
-def is_pure(rho: DensityMatrix, tol: float = 1e-9) -> bool:
-    """Diagnostic purity check: tr(rho^2) within ``tol`` of 1."""
-    return abs(trace(rho.mat @ rho.mat).real - 1.0) <= tol
+def is_pure(rho: DensityMatrix) -> bool:
+    """Diagnostic purity check: tr(rho^2), itself in [0, 1], within PROB_SLACK (1e-9) of 1."""
+    return abs(trace(rho.mat @ rho.mat).real - 1.0) <= PROB_SLACK

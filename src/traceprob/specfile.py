@@ -12,10 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .classical import ClassicalCycle, PerceptionSet, diag_projector
-from .errors import SpecParseError
+from .errors import SpecParseError, located
 from .matcore import DEFAULT_TOL, matrix_from_rows
 from .measure import PerceptionAlgebra, algebra_from_obj
 from .quantum import DensityMatrix, Projector, RealityMode
@@ -54,11 +52,12 @@ def _is_char_vector(value) -> bool:
     return isinstance(value, list) and len(value) > 0 and all(_is_int(x) for x in value)
 
 
-def _parse_matrix(value, where: str) -> np.ndarray:
-    try:
-        return matrix_from_rows(value)
-    except Exception as exc:
-        raise SpecParseError(f"{where}: {exc}") from exc
+def _operator(cls, value, where: str, mode: RealityMode, tol: float):
+    """``cls`` from JSON rows; a malformed matrix is a SpecParseError, and each refusal names ``where``."""
+    with located(where, SpecParseError):
+        mat = matrix_from_rows(value)
+    with located(where):
+        return cls(mat, mode=mode, tol=tol)
 
 
 def _parse_cycle(obj) -> ClassicalCycle:
@@ -116,11 +115,8 @@ def load_system_spec(
 
     cycle = _parse_cycle(obj["cycle"]) if "cycle" in obj else None
 
-    def operator(cls, key: str):
-        return cls(_parse_matrix(obj[key], key), mode=mode, tol=tol) if key in obj else None
-
-    rho = operator(DensityMatrix, "rho")
-    hamiltonian = operator(Hamiltonian, "hamiltonian")
+    rho = _operator(DensityMatrix, obj["rho"], "rho", mode, tol) if "rho" in obj else None
+    hamiltonian = _operator(Hamiltonian, obj["hamiltonian"], "hamiltonian", mode, tol) if "hamiltonian" in obj else None
 
     projectors: list[LabeledProjector] = []
     if "projectors" in obj:
@@ -128,10 +124,13 @@ def load_system_spec(
         if not isinstance(raw, dict) or not raw:
             raise SpecParseError("projectors must be a nonempty object of label -> value")
         for label, value in raw.items():
-            pset = PerceptionSet(value) if _is_char_vector(value) else None
-            mat = diag_projector(pset) if pset is not None else _parse_matrix(value, f"projector {label!r}")
-            chi = pset.chi if pset is not None else None
-            projectors.append(LabeledProjector(str(label), Projector(mat, mode=mode, tol=tol), chi))
+            where = f"projector {label!r}"
+            with located(where):
+                pset = PerceptionSet(value) if _is_char_vector(value) else None
+            if pset is None:
+                projectors.append(LabeledProjector(label, _operator(Projector, value, where, mode, tol)))
+            else:
+                projectors.append(LabeledProjector(label, Projector(diag_projector(pset), mode=mode, tol=tol), pset.chi))
 
     algebra = algebra_from_obj(obj["algebra"], mode=mode, tol=tol) if "algebra" in obj else None
 

@@ -156,17 +156,15 @@ def dephase(rho: DensityMatrix, h: Hamiltonian, cluster_tol: float | None = None
     return DensityMatrix(pinch(rho.mat, energy_blocks(h, cluster_tol)))
 
 
-def is_superselection_compliant(
-    p: Projector, h: Hamiltonian, cluster_tol: float | None = None, tol: float = COMPLIANCE_TOL
-) -> bool:
+def is_superselection_compliant(p: Projector, h: Hamiltonian, cluster_tol: float | None = None) -> bool:
     """Whether ``p`` is block-diagonal in the energy representation.
 
     That is, whether the pinching leaves ``p`` unchanged:
-    max_abs(pinch(p) - p) <= tol, measured in the original basis. One O(n^3)
+    max_abs(pinch(p) - p) <= 1e-9, measured in the original basis. One O(n^3)
     pinching per call, on the Hamiltonian's cached energy blocks. Compliant
     projectors give probabilities that do not depend on the unperceived
     time: tr(p, evolve(rho, h, t)) is constant in t.
     """
     if p.dim != h.dim:
         raise DimensionMismatchError(f"projector dim {p.dim} vs hamiltonian dim {h.dim}")
-    return max_abs(pinch(p.mat, energy_blocks(h, cluster_tol)) - p.mat) <= tol
+    return max_abs(pinch(p.mat, energy_blocks(h, cluster_tol)) - p.mat) <= COMPLIANCE_TOL

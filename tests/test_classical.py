@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,19 @@ def test_cycle_rejects_overflowing_period():
     assert dwell_fractions(big).f == (0.5, 0.5)
 
 
+def test_running_sum_past_a_finite_period_is_harmless():
+    # Each 0.6-ulp duration rounds the running sum up by a full ulp, so it
+    # overflows while the correctly rounded period stays finite.
+    top = np.finfo(float).max
+    ulp = math.ulp(top)
+    c = ClassicalCycle(2, [(1, top - 40 * ulp)] + [(2, 0.6 * ulp)] * 60)
+    assert math.isfinite(c.period)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert c.state_at(1.0) == 1
+        assert c.state_at(c.period - ulp) == 2
+
+
 def test_cycle_rejects_empty_or_out_of_range():
     with pytest.raises(ValidationError):
         ClassicalCycle(2, ())
@@ -83,6 +97,13 @@ def test_cycle_allows_repeat_visits():
     c = ClassicalCycle(2, ((1, 2.0), (2, 1.0), (1, 1.0)))
     assert c.period == 4.0
     assert dwell_fractions(c).f == (0.75, 0.25)
+
+
+def test_period_is_the_correctly_rounded_sum():
+    c = ClassicalCycle(3, [(1, 0.1), (2, 0.2), (3, 0.3)])
+    assert c.period == 0.6  # a running sum gives 0.6000000000000001
+    assert c.state_at(0.6) == 1
+    assert c.state_at(0.5999999999999999) == 3
 
 
 def test_state_at_walks_schedule():

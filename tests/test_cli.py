@@ -180,12 +180,66 @@ ONE_ROWS = [[[1.0, 0.0]]]
             "Validation",
             "algebra atom 1 ('b'): POV operator must be positive semidefinite (eigenvalues >= -tol)",
         ),
+        (
+            {"atoms": [{"label": "a", "operator": ONE_ROWS}, {"label": "a", "operator": ONE_ROWS}]},
+            "SpecParse",
+            "algebra atom 1 ('a'): label repeats atom 0",
+        ),
+        (
+            {"atoms": [{"label": "a", "operator": ONE_ROWS}, {"label": "b", "operator": EYE_2_ROWS}]},
+            "DimensionMismatch",
+            "algebra atom 1 ('b'): operator dim 2 differs from atom 0's dim 1",
+        ),
     ],
-    ids=["label-not-string", "unknown-atom-key", "unknown-algebra-key", "bad-atom-matrix", "atom-not-psd"],
+    ids=[
+        "label-not-string",
+        "unknown-atom-key",
+        "unknown-algebra-key",
+        "bad-atom-matrix",
+        "atom-not-psd",
+        "repeated-label",
+        "mixed-dims",
+    ],
 )
 @pytest.mark.parametrize("command", ["measure", "check"])
 def test_algebra_defects_name_the_atom(tmp_path, capsys, command, algebra, category, message):
     spec = write_spec(tmp_path, {"rho": ONE_ROWS, "algebra": algebra})
+    code, out, err = run_cli(capsys, command, "--spec", spec)
+    assert code == 1
+    assert out == ""
+    assert err == f"error[{category}]: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "field,category,message",
+    [
+        (
+            {"rho": matrix_to_rows(np.diag([0.6, 0.6]))},
+            "Validation",
+            "rho: matrix is not a density matrix (PSD Hermitian, unit trace) within tolerance",
+        ),
+        (
+            {"hamiltonian": matrix_to_rows(np.array([[0.0, 1.0], [0.0, 0.0]]))},
+            "NotHermitian",
+            "hamiltonian: Hermiticity defect 1.000e+00 exceeds tolerance",
+        ),
+        (
+            {"projectors": {"a": matrix_to_rows(np.diag([2.0, 0.0]))}},
+            "Validation",
+            "projector 'a': matrix is not a projector (Hermitian idempotent) within tolerance",
+        ),
+        (
+            {"projectors": {"a": [2, 0]}},
+            "Validation",
+            "projector 'a': characteristic vector entries must be exactly 0 or 1",
+        ),
+    ],
+    ids=["rho-not-density", "hamiltonian-not-hermitian", "projector-not-projector", "bad-char-vector"],
+)
+@pytest.mark.parametrize("command", ["quantum", "check"])
+def test_operator_defects_name_the_field(tmp_path, capsys, command, field, category, message):
+    base = {"rho": DIAG_10_ROWS, "hamiltonian": H_01_ROWS, "projectors": {"a": DIAG_10_ROWS}}
+    spec = write_spec(tmp_path, {**base, **field})
     code, out, err = run_cli(capsys, command, "--spec", spec)
     assert code == 1
     assert out == ""

@@ -15,6 +15,7 @@ from traceprob import (
     NonFiniteError,
     NotRealError,
     NotSubsetError,
+    NumericalIntegrityError,
     PerceptionAlgebra,
     PovOperator,
     Projector,
@@ -303,6 +304,29 @@ def test_conditional_chain_rule():
         s_sub = {label for label in m_sub if rng.random() < 0.5}
         chained = conditional_prob(alg, s_sub, m_sub, rho) * normalized_prob(alg, m_sub, rho)
         assert abs(normalized_prob(alg, s_sub, rho) - chained) <= 1e-10
+
+
+def test_conditional_prob_is_bounded():
+    # Both atoms are PSD within tol, so the ratio of measures can leave [0, 1].
+    rho = DensityMatrix(np.diag([1.0, 0.0]))
+    alg = PerceptionAlgebra.from_matrices([("a", np.diag([1e-9, 0.0])), ("b", np.diag([-5e-11, 0.0]))])
+    with pytest.raises(NumericalIntegrityError) as info:
+        conditional_prob(alg, {"a"}, {"a", "b"}, rho)
+    assert str(info.value).startswith("conditional probability 1.05")
+    dust = PerceptionAlgebra.from_matrices([("a", np.diag([1.0, 0.0])), ("b", np.diag([-5e-11, 0.0]))])
+    assert measure_of(dust, {"a"}, rho) / measure_of(dust, {"a", "b"}, rho) > 1.0
+    assert conditional_prob(dust, {"a"}, {"a", "b"}, rho) == 1.0
+
+
+def test_perception_algebra_is_sealed():
+    alg = _two_atom_algebra()
+    for name in ("_atoms", "_memo", "labels", "other"):
+        with pytest.raises(AttributeError) as info:
+            setattr(alg, name, None)
+        assert str(info.value) == "PerceptionAlgebra is immutable"
+        with pytest.raises(AttributeError) as info:
+            delattr(alg, name)
+        assert str(info.value) == "PerceptionAlgebra is immutable"
 
 
 def test_conditional_prob_requires_subset():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from traceprob import (
     FractionVector,
     Hamiltonian,
     NonCommutingError,
+    NonFiniteError,
     NotHermitianError,
     NotRealError,
     NotUnitaryError,
@@ -41,6 +44,7 @@ from traceprob import (
     trace_prob,
     unitary_conjugate,
 )
+from traceprob.quantum import bounded
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 PLUS_STATE = np.full((2, 2), 0.5)  # projector onto (1,1)/sqrt(2), also a pure density
@@ -147,6 +151,9 @@ def test_operator_classes_are_sealed(cls, mat):
         with pytest.raises(AttributeError) as info:
             setattr(op, name, np.eye(3))
         assert str(info.value) == f"{cls.__name__} is immutable"
+        with pytest.raises(AttributeError) as info:
+            delattr(op, name)
+        assert str(info.value) == f"{cls.__name__} is immutable"
     assert not op.mat.flags.writeable
     with pytest.raises(ValueError):
         op.mat[0, 0] = 9.0
@@ -246,6 +253,31 @@ def test_trace_prob_clamps_within_slack():
     rho = DensityMatrix(np.diag([1.0 + 4e-10, -4e-10]), tol=1e-9)
     assert trace_prob(Projector(np.diag([1.0, 0.0])), rho) == 1.0
     assert trace_prob(Projector(np.diag([0.0, 1.0])), rho) == 0.0
+
+
+@pytest.mark.parametrize(
+    "value,slack,upper,expected",
+    [
+        (0.5, 1e-9, 1.0, 0.5),
+        (-1e-10, 1e-9, 1.0, 0.0),
+        (1.0 + 1e-10, 1e-9, 1.0, 1.0),
+        (1e300, 1e-10, math.inf, 1e300),
+        (-2e-9, 1e-9, 1.0, (NumericalIntegrityError, "p -2e-09 outside [0, 1] beyond 1e-09")),
+        (1.0 + 2e-9, 1e-9, 1.0, (NumericalIntegrityError, "p 1.000000002 outside [0, 1] beyond 1e-09")),
+        (-1e-9, 1e-10, math.inf, (NumericalIntegrityError, "p -1e-09 outside [0, inf] beyond 1e-10")),
+        (math.inf, 1e-10, math.inf, (NonFiniteError, "p inf is not finite")),
+        (math.nan, 1e-9, 1.0, (NonFiniteError, "p nan is not finite")),
+    ],
+)
+def test_bounded_clamps_dust_and_refuses_the_rest(value, slack, upper, expected):
+    if not isinstance(expected, tuple):
+        assert bounded(value, "p", slack, upper) == expected
+        return
+    error, message = expected
+    with pytest.raises(error) as info:
+        bounded(value, "p", slack, upper)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_trace_prob_complementarity():
