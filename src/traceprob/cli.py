@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .classical import PerceptionSet, classical_density, classical_prob, diag_projector, dwell_fractions
-from .errors import TraceProbError, ValidationError
+from .errors import TraceProbError, ValidationError, located
 from .matcore import DEFAULT_TOL, matrix_to_rows, trace
 from .measure import measure_of, normalized_prob, total_measure
 from .quantum import DensityMatrix, Projector, RealityMode, trace_prob
@@ -56,9 +56,8 @@ def _require(spec: SystemSpec, command: str, **fields):
 def _require_char_vectors(spec: SystemSpec):
     for lp in spec.projectors:
         if lp.chi is None:
-            raise ValidationError(
-                f"projector {lp.label!r} must be a characteristic vector for the classical command"
-            )
+            with located(f"projector {lp.label!r}"):
+                raise ValidationError("must be a characteristic vector for the classical command")
 
 
 def cmd_classical(spec: SystemSpec, args) -> tuple[str, dict]:

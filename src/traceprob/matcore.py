@@ -7,7 +7,7 @@ pass at tolerance ``tol`` when at most ``tol * max(1, |a|_max)``, with
 ``|.|_max`` the largest entry magnitude; the unit-trace defect ``|tr a - 1|``
 and the smallest eigenvalue are held to ``tol`` and ``-tol`` themselves.
 The default tolerance is robust for double precision at the dimensions this
-package targets (n <= 64).
+package targets, and is tested at n <= 256.
 """
 
 from __future__ import annotations

@@ -57,11 +57,11 @@ class PerceptionAlgebra(Sealed):
     measure may differ from 1.
 
     Measures are evaluated from the per-state expectation vector
-    e_i = Re tr(A_i rho), one O(n^2) contraction per atom. The algebra
-    memoizes that vector, with its correctly rounded total, in a single slot
-    keyed by the identity of the last state seen; the slot holds a strong
-    reference to that (immutable) state, so the key cannot be reused while it
-    is held. Repeated queries against one state then cost O(|S|) each, and
+    e_i = Re tr(A_i rho), one O(n^2) BLAS dot per atom as in ``trace_prob``.
+    The algebra memoizes that vector, with its correctly rounded total, in a
+    single slot keyed by the identity of the last state seen; the slot holds
+    a strong reference to that (immutable) state, so the key cannot be reused
+    while it is held. Repeated queries against one state then cost O(|S|) each, and
     alternating between states recomputes the vector on every switch.
     """
 
@@ -116,7 +116,8 @@ class PerceptionAlgebra(Sealed):
             return memo[1], memo[2]
         if self.dim != rho.dim:
             raise DimensionMismatchError(f"algebra dim {self.dim} vs density dim {rho.dim}")
-        e = {label: float(np.einsum("ij,ji->", op.mat, rho.mat).real) for label, op in self._atoms.items()}
+        rho_t = rho.mat.T.ravel()
+        e = {label: float(np.dot(op.mat.ravel(), rho_t).real) for label, op in self._atoms.items()}
         if not all(math.isfinite(x) for x in e.values()):
             raise NonFiniteError("an atom expectation is not finite")
         total = _fsum(e.values())

@@ -101,7 +101,11 @@ class Projector(Operator):
 
 
 class DensityMatrix(Operator):
-    """Positive semidefinite Hermitian unit-trace operator, validated once."""
+    """Positive semidefinite Hermitian unit-trace operator, validated once.
+
+    The matrix is sealed in column-major order, so ``mat.T.ravel()`` is a
+    free C-contiguous view of rho^T, the operand of every trace-rule dot.
+    """
 
     __slots__ = ()
 
@@ -109,14 +113,16 @@ class DensityMatrix(Operator):
         m = enforce_reality(mode, mat)
         if not is_density(m, tol):
             raise ValidationError("matrix is not a density matrix (PSD Hermitian, unit trace) within tolerance")
-        self._seal(m)
+        self._seal(np.asfortranarray(m))
 
 
 def trace_prob(p: Projector, rho: DensityMatrix) -> float:
     """Probability of the set represented by ``p`` in state ``rho``: Re tr(p rho).
 
     Evaluated as the O(n^2) contraction sum_ij p_ij rho_ji rather than an
-    O(n^3) matrix product. The contraction does not assume Hermiticity:
+    O(n^3) matrix product: one BLAS dot of p's entries with those of rho^T,
+    a free view of rho's column-major storage (an operand in another layout
+    is copied by ``ravel``). The contraction does not assume Hermiticity:
     both operators are Hermitian only to within their tolerance, and the
     Hermitian shortcut sum_ij p_ij conj(rho_ij) would be off by up to
     n * tol.
@@ -126,7 +132,7 @@ def trace_prob(p: Projector, rho: DensityMatrix) -> float:
     """
     if p.dim != rho.dim:
         raise DimensionMismatchError(f"projector dim {p.dim} vs density dim {rho.dim}")
-    t = complex(np.einsum("ij,ji->", p.mat, rho.mat))
+    t = complex(np.dot(p.mat.ravel(), rho.mat.T.ravel()))
     if abs(t.imag) > PROB_SLACK:
         raise NumericalIntegrityError(f"trace imaginary part {t.imag:.3e} exceeds {PROB_SLACK}")
     return bounded(t.real, "trace probability", PROB_SLACK, 1.0)

@@ -384,7 +384,7 @@ def test_cycle_with_matrix_projector_is_refused(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command, "--spec", spec)
     assert code == 1
     assert out == ""
-    assert err.startswith("error[Validation]: projector 'a' must be a characteristic vector")
+    assert err.startswith("error[Validation]: projector 'a': must be a characteristic vector for the classical command")
     assert err.count("\n") == 1
 
 

@@ -163,6 +163,17 @@ def test_measure_of_disjoint_union_is_exact_sum_of_singletons():
         assert measure_of(alg, s | t, rho) == math.fsum(singletons)
 
 
+def test_expectations_match_literal_traces():
+    rng = np.random.default_rng(72)
+    alg = random_algebra(rng, 32, 256)
+    rho = random_density(rng, 32)
+    e, total = alg._expectations(rho)
+    assert list(e) == list(alg.labels)
+    for label in alg.labels:
+        assert abs(e[label] - np.trace(alg.atom(label).mat @ rho.mat).real) <= 1e-12
+    assert total == math.fsum(e.values())
+
+
 def test_measure_queries_build_no_pov_operator(monkeypatch):
     rng = np.random.default_rng(70)
     alg = random_algebra(rng, 5, 6)

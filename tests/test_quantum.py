@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    random_basis,
     random_density,
     random_density_matrix,
+    random_hamiltonian,
+    random_hermitian,
     random_partition,
+    random_pov_matrix,
     random_projector,
     random_projector_matrix,
     random_subset,
@@ -34,6 +38,7 @@ from traceprob import (
     classical_density,
     classical_prob,
     commutes,
+    dephase,
     diag_projector,
     enforce_reality,
     is_pure,
@@ -44,6 +49,7 @@ from traceprob import (
     trace_prob,
     unitary_conjugate,
 )
+from traceprob.matcore import DEFAULT_TOL, relative_bound
 from traceprob.quantum import bounded
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -131,6 +137,69 @@ def test_construction_thresholds(cls, mat, mode, tol, expected):
         cls(mat, mode=mode, tol=tol)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def _break_hermiticity(m, f, tol):
+    """Add f times the Hermiticity bound to one off-diagonal entry."""
+    out = m.copy()
+    out[0, -1] += f * relative_bound(m, tol)
+    return out
+
+
+def _break_idempotency(m, f, tol):
+    """Scale a projector by 1 + e so that |P^2 - P|_max = e (1 + e) |P|_max is f times tol."""
+    return m * (1.0 + f * tol / max_abs(m))
+
+
+def _break_trace(m, f, tol):
+    return m + (f * tol / m.shape[0]) * np.eye(m.shape[0])
+
+
+def _break_positivity(m, f, tol):
+    """Move the lowest eigenvalue to -f tol, the difference onto the highest, so the trace holds."""
+    values, vectors = np.linalg.eigh(m)
+    low, high = vectors[:, :1], vectors[:, -1:]
+    shift = values[0] + f * tol
+    return m - shift * (low @ low.conj().T) + shift * (high @ high.conj().T)
+
+
+def _rank_deficient_density(rng, n):
+    values = np.concatenate(([0.0], rng.uniform(0.5, 1.5, n - 1)))
+    v = random_basis(rng, n)
+    return (v * (values / values.sum())) @ v.conj().T
+
+
+# Each bound at dimensions past the small ones of the table above: random
+# valid inputs are admitted, and the same inputs moved to half the bound stay
+# admitted while those moved to twice the bound are refused with the same
+# error as at n = 2. Rounding at these n stays far below the 1e-10 default.
+LARGE_N_BOUNDS = [
+    ("proj-herm", Projector, lambda rng, n: random_projector_matrix(rng, n, n // 3), _break_hermiticity, (ValidationError, NOT_PROJECTOR)),
+    ("proj-idem", Projector, lambda rng, n: random_projector_matrix(rng, n, n // 3), _break_idempotency, (ValidationError, NOT_PROJECTOR)),
+    ("rho-herm", DensityMatrix, random_density_matrix, _break_hermiticity, (ValidationError, NOT_DENSITY)),
+    ("rho-trace", DensityMatrix, random_density_matrix, _break_trace, (ValidationError, NOT_DENSITY)),
+    ("rho-eig", DensityMatrix, _rank_deficient_density, _break_positivity, (ValidationError, NOT_DENSITY)),
+    ("pov-herm", PovOperator, random_pov_matrix, _break_hermiticity, (ValidationError, POV_NOT_HERMITIAN)),
+    ("pov-eig", PovOperator, random_pov_matrix, _break_positivity, (ValidationError, POV_NOT_PSD)),
+    ("ham-herm", Hamiltonian, random_hermitian, _break_hermiticity, (NotHermitianError, "Hermiticity defect")),
+]
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize(
+    "cls,build,perturb,expected", [row[1:] for row in LARGE_N_BOUNDS], ids=[row[0] for row in LARGE_N_BOUNDS]
+)
+def test_tolerance_contracts_at_large_n(n, cls, build, perturb, expected):
+    rng = np.random.default_rng(n)
+    tol = DEFAULT_TOL
+    m = build(rng, n)
+    assert cls(m).dim == n
+    assert cls(perturb(m, 0.5, tol)).dim == n
+    error, message = expected
+    with pytest.raises(error) as info:
+        cls(perturb(m, 2.0, tol))
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize(
@@ -230,6 +299,48 @@ def test_trace_prob_contraction_matches_matrix_product(n):
         p = random_projector(rng, n, rank=rank)
         rho = random_density(rng, n)
         assert abs(trace_prob(p, rho) - trace(p.mat @ rho.mat).real) <= 1e-12
+
+
+def _with_layout(op, mat):
+    """A copy of ``op`` holding ``mat`` as is, bypassing the constructor's copy
+    (which always yields a contiguous array), so any memory layout can be tested."""
+    out = object.__new__(type(op))
+    out._seal(mat)
+    return out
+
+
+def _strided(mat):
+    """A non-contiguous view with the entries of ``mat``."""
+    n = mat.shape[0]
+    host = np.zeros((2 * n, 2 * n), dtype=complex)
+    host[::2, ::2] = mat
+    view = host[::2, ::2]
+    assert not view.flags.c_contiguous and not view.flags.f_contiguous
+    return view
+
+
+LAYOUTS = {"c": np.ascontiguousarray, "f": np.asfortranarray, "strided": _strided}
+
+
+@pytest.mark.parametrize("p_layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("rho_layout", sorted(LAYOUTS))
+def test_trace_prob_is_correct_for_any_layout(p_layout, rho_layout):
+    rng = np.random.default_rng(29)
+    for n in (2, 7, 64):
+        p = random_projector(rng, n)
+        rho = random_density(rng, n)
+        p = _with_layout(p, LAYOUTS[p_layout](p.mat))
+        rho = _with_layout(rho, LAYOUTS[rho_layout](rho.mat))
+        assert abs(trace_prob(p, rho) - np.trace(p.mat @ rho.mat).real) <= 1e-12
+
+
+def test_density_matrix_storage_gives_a_free_transpose_view():
+    rng = np.random.default_rng(31)
+    direct = random_density(rng, 16)
+    dephased = dephase(direct, random_hamiltonian(rng, 16))
+    classical = DensityMatrix(classical_density(FractionVector([0.25, 0.75])))
+    for rho in (direct, dephased, classical):
+        assert np.shares_memory(rho.mat.T.ravel(), rho.mat)
 
 
 def test_trace_prob_rejects_value_outside_unit_interval():

@@ -143,6 +143,23 @@ def test_energy_blocks_cluster_gaps_exceed_tol():
     assert np.all(gaps > tol)
 
 
+def test_energy_blocks_chain_small_gaps_into_one_wide_sector():
+    # Clustering is greedy on consecutive gaps, so a sector's width is not
+    # bounded by cluster_tol: 64 levels 0.9 tol apart form one sector 56.7 tol wide.
+    tol = 1e-8
+    levels = 0.9 * tol * np.arange(64)
+    h = Hamiltonian(np.diag(levels))
+    assert default_cluster_tol(h) == tol
+    blocks = energy_blocks(h)
+    assert blocks.count == 1
+    assert blocks.clusters == (tuple(range(64)),)
+    width = h.energies[-1] - h.energies[0]
+    assert width / tol == pytest.approx(56.7)
+    # One gap just above tol splits the chain there, and only there.
+    levels[32:] += 0.2 * tol
+    assert energy_blocks(Hamiltonian(np.diag(levels))).clusters == (tuple(range(32)), tuple(range(32, 64)))
+
+
 def test_energy_blocks_rejects_bad_tol():
     with pytest.raises(ValidationError):
         energy_blocks(Hamiltonian(np.eye(2)), 0.0)
