@@ -9,6 +9,9 @@ also the trace of the diagonal projector against the diagonal density matrix.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -19,6 +22,21 @@ from .errors import DimensionMismatchError, ValidationError
 
 FRACTION_SUM_TOL = 1e-9
 MISSING_SHOWN = 10  # missing states named in a refusal
+
+
+def _integer(x, what: str) -> int:
+    """``x`` as an int: Python and numpy integers only, so 1.9 is refused rather than truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {type(x).__name__}") from None
+
+
+def _real(x, what: str) -> float:
+    """``x`` as a float: real numbers only, so '0.5' or None is refused rather than parsed."""
+    if not isinstance(x, (float, int, numbers.Real)):  # float and int skip the slower ABC check
+        raise ValidationError(f"{what} must be a real number, got {type(x).__name__}")
+    return float(x)
 
 
 @dataclass(frozen=True)
@@ -35,12 +53,14 @@ class ClassicalCycle:
     schedule: tuple[tuple[int, float], ...]
 
     def __init__(self, n: int, schedule: Iterable[Sequence]):
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", _integer(n, "cycle n"))
         entries = []
         for i, entry in enumerate(schedule):
-            state, duration = entry
             try:
-                entries.append((int(state), float(duration)))
+                state, duration = entry
+                entries.append((_integer(state, "state"), _real(duration, "dwell duration")))
+            except (TypeError, ValueError):
+                raise ValidationError(f"schedule entry {i} must be a (state, duration) pair") from None
             except OverflowError:
                 raise ValidationError(f"schedule entry {i} overflows an int state or a float duration") from None
         object.__setattr__(self, "schedule", tuple(entries))
@@ -56,7 +76,7 @@ class ClassicalCycle:
         seen = set()
         for state, duration in self.schedule:
             if not 1 <= state <= self.n:
-                raise ValidationError(f"state {state} outside 1..{self.n}")
+                raise ValidationError(f"state {reprlib.repr(state)} outside 1..{self.n}")
             if not (math.isfinite(duration) and duration > 0.0):
                 raise ValidationError(f"dwell duration {duration} must be finite and > 0")
             seen.add(state)
@@ -103,17 +123,18 @@ class PerceptionSet:
     chi: tuple[int, ...]
 
     def __init__(self, chi: Iterable):
-        values = tuple(int(c) for c in chi)
+        values = tuple(chi)
         if not values:
             raise ValidationError("characteristic vector must have dimension >= 1")
-        if any(c not in (0, 1) for c in values):
+        if not all(isinstance(c, (int, float, np.bool_, numbers.Real)) and c in (0, 1) for c in values):
             raise ValidationError("characteristic vector entries must be exactly 0 or 1")
-        object.__setattr__(self, "chi", values)
+        object.__setattr__(self, "chi", tuple(int(c) for c in values))
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "PerceptionSet":
         """Build from 1-based member indices."""
-        member_set = set(int(i) for i in members)
+        n = _integer(n, "set size n")
+        member_set = set(_integer(i, "member") for i in members)
         if any(not 1 <= i <= n for i in member_set):
             raise ValidationError(f"members must lie in 1..{n}")
         return cls(tuple(1 if i in member_set else 0 for i in range(1, n + 1)))
@@ -139,7 +160,7 @@ class FractionVector:
     f: tuple[float, ...]
 
     def __init__(self, f: Iterable[float]):
-        values = tuple(float(x) for x in f)
+        values = tuple(_real(x, "fraction") for x in f)
         if not values:
             raise ValidationError("fraction vector must have dimension >= 1")
         if any(not (math.isfinite(x) and x >= 0.0) for x in values):
@@ -152,7 +173,7 @@ class FractionVector:
     @classmethod
     def normalized(cls, values: Iterable[float]) -> "FractionVector":
         """Divide nonnegative weights by their sum."""
-        raw = [float(x) for x in values]
+        raw = [_real(x, "weight") for x in values]
         if any(not (math.isfinite(x) and x >= 0.0) for x in raw):
             raise ValidationError("weights must be finite and >= 0")
         total = math.fsum(raw)

@@ -118,10 +118,6 @@ class EigenDecomposition:
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.

@@ -210,14 +210,16 @@ def algebra_from_obj(
 ) -> PerceptionAlgebra:
     """Parse the JSON form produced by :func:`algebra_to_obj`.
 
-    The form is strict: one key "atoms", an array of objects with exactly the
-    keys "label" (a string) and "operator" (rows). A break of the form raises
-    SpecParseError, as does a label repeated, and an invalid operator
-    :class:`PovOperator`'s own error, or DimensionMismatchError when its dim
-    differs from atom 0's; all name the atom as ``algebra atom <i> (<label>)``.
+    The form is strict: one key "atoms", a nonempty array of objects with
+    exactly the keys "label" (a string) and "operator" (rows). A break of the
+    form raises SpecParseError, as does a label repeated, and an invalid
+    operator :class:`PovOperator`'s own error, or DimensionMismatchError when
+    its dim differs from atom 0's; all name the atom as ``algebra atom <i> (<label>)``.
     """
     if not isinstance(obj, Mapping) or set(obj) != {"atoms"} or not isinstance(obj["atoms"], list):
         raise SpecParseError('algebra must be an object whose only key is an "atoms" array')
+    if not obj["atoms"]:
+        raise SpecParseError('algebra "atoms" array is empty; it needs at least one atom')
     ops: dict[str, PovOperator] = {}
     dim0 = 0
     for i, atom in enumerate(obj["atoms"]):

@@ -10,7 +10,7 @@ deterministic for a fixed seed (PCG64).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -44,16 +44,8 @@ class SampleReport:
             raise ValidationError("counts must sum to total")
 
     def to_obj(self) -> dict:
-        """JSON-ready dict with a fixed key order."""
-        return {
-            "outcomes": list(self.outcomes),
-            "counts": list(self.counts),
-            "total": self.total,
-            "empirical_freqs": list(self.empirical_freqs),
-            "expected_probs": list(self.expected_probs),
-            "max_abs_deviation": self.max_abs_deviation,
-            "seed": self.seed,
-        }
+        """JSON-ready dict, keys in field order (tuples serialize as arrays)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _build_report(

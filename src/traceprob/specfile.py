@@ -10,6 +10,7 @@ agree.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 
 from .classical import ClassicalCycle, PerceptionSet, diag_projector
@@ -111,7 +112,8 @@ def load_system_spec(
         try:
             mode = RealityMode(raw_mode)
         except ValueError:
-            raise SpecParseError(f'reality_mode must be "complex" or "real", got {raw_mode!r}')
+            shown = reprlib.repr(raw_mode) if isinstance(raw_mode, str) else type(raw_mode).__name__
+            raise SpecParseError(f'reality_mode must be "complex" or "real", got {shown}') from None
 
     cycle = _parse_cycle(obj["cycle"]) if "cycle" in obj else None
 

@@ -158,6 +158,44 @@ def test_perception_set_validation():
         PerceptionSet.from_members(3, (4,))
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: PerceptionSet([0.7, 1.2, True]), "exactly 0 or 1"),  # was (0, 1, 1)
+        (lambda: PerceptionSet([None, 1]), "exactly 0 or 1"),
+        (lambda: PerceptionSet(["1", 0]), "exactly 0 or 1"),
+        (lambda: PerceptionSet.from_members(3, [1.9]), "member must be an integer"),  # was (1, 0, 0)
+        (lambda: PerceptionSet.from_members(2.5, [1]), "set size n must be an integer"),
+        (lambda: ClassicalCycle(2.9, [(1.5, 1.0), ("2", "3")]), "cycle n must be an integer"),  # was n=2
+        (lambda: ClassicalCycle(2, [(1.5, 1.0), (2, 1.0)]), "state must be an integer, got float"),
+        (lambda: ClassicalCycle(2, [(1, 1.0), (2, "3")]), "dwell duration must be a real number, got str"),
+        (lambda: ClassicalCycle(2, [(1, None), (2, 1.0)]), "dwell duration must be a real number, got NoneType"),
+        (lambda: ClassicalCycle(2, [(1,), (2, 1.0)]), r"entry 0 must be a \(state, duration\) pair"),
+        (lambda: ClassicalCycle(2, [(1, 1.0), 2]), r"entry 1 must be a \(state, duration\) pair"),
+        (lambda: FractionVector(["0.5", 0.5]), "fraction must be a real number"),
+        (lambda: FractionVector.normalized([None, 1.0]), "weight must be a real number"),
+    ],
+    ids=[
+        "chi-fraction", "chi-none", "chi-string", "member-fraction", "members-n-fraction", "cycle-n-fraction",
+        "state-fraction", "duration-string", "duration-none", "entry-short", "entry-scalar", "fraction-string",
+        "weight-none",
+    ],
+)
+def test_constructors_refuse_non_numbers_with_a_typed_error(build, match):
+    with pytest.raises(ValidationError, match=match):
+        build()
+
+
+def test_constructors_keep_integer_and_exact_bit_inputs():
+    assert PerceptionSet(np.array([1.0, 0.0])).chi == (1, 0)
+    assert PerceptionSet(np.array([True, False])).chi == (1, 0)
+    assert PerceptionSet([np.int64(0), True, 1]).chi == (0, 1, 1)
+    assert PerceptionSet.from_members(np.int64(3), [np.int32(2)]).chi == (0, 1, 0)
+    c = ClassicalCycle(np.int64(2), [(np.int8(1), np.float32(0.5)), (2, 3)])
+    assert c.schedule == ((1, 0.5), (2, 3.0))
+    assert FractionVector(np.array([0.25, 0.75])).f == (0.25, 0.75)
+
+
 # --- probabilities and matrices ---
 
 

@@ -171,6 +171,11 @@ ONE_ROWS = [[[1.0, 0.0]]]
             'algebra must be an object whose only key is an "atoms" array',
         ),
         (
+            {"atoms": []},
+            "SpecParse",
+            'algebra "atoms" array is empty; it needs at least one atom',
+        ),
+        (
             {"atoms": [{"label": "a", "operator": ONE_ROWS}, {"label": "b", "operator": [[[1.0, "x"]]]}]},
             "SpecParse",
             "algebra atom 1 ('b'): matrix entry (0,0) must be a [re, im] pair of numbers",
@@ -195,6 +200,7 @@ ONE_ROWS = [[[1.0, 0.0]]]
         "label-not-string",
         "unknown-atom-key",
         "unknown-algebra-key",
+        "no-atoms",
         "bad-atom-matrix",
         "atom-not-psd",
         "repeated-label",
@@ -246,25 +252,34 @@ def test_operator_defects_name_the_field(tmp_path, capsys, command, field, categ
     assert err == f"error[{category}]: {message}\n"
 
 
-GOLDEN_MEASURE = json.loads((Path(__file__).resolve().parent / "golden" / "measure.json").read_text(encoding="utf-8"))
+GOLDEN_SPECS = {
+    path.stem: json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted((Path(__file__).resolve().parent / "golden").glob("*.json"))
+}
+GOLDEN_MEASURE = GOLDEN_SPECS["measure"]
+# Whole fields of the golden specs, grafted into other specs by the mutations.
+GOLDEN_FIELDS = [value for spec in GOLDEN_SPECS.values() for value in spec.values()]
+FIELD_NAMES = sorted({key for spec in GOLDEN_SPECS.values() for key in spec} | {"n", "schedule", "atoms", "label", "operator"})
+NUMBERS = st.floats() | st.integers() | st.sampled_from([10**30, -(10**30), 2**63, 10**400, 0, 1, -1])
 
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8) | st.sampled_from(["a0", "a1"]),
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=8) | st.sampled_from(["a0", "a1", "real"]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=10,
 )
+NEW_VALUES = JSON_VALUES | st.sampled_from(GOLDEN_FIELDS).map(copy.deepcopy)
 
 
-@st.composite
-def mutated_algebras(draw):
-    """The golden measure spec's algebra with one to three random edits: a
-    value replaced by any JSON value or by a number, a key or element deleted,
-    or a key or element added, at a random depth, most often down at a single
-    number of an operator entry."""
-    root = [copy.deepcopy(GOLDEN_MEASURE["algebra"])]
+def _mutate(draw, value, max_depth: int):
+    """``value`` with one to three random edits: a value replaced by any JSON
+    value, by a number (up to 10**30 and beyond the float range included) or
+    by a whole field of a golden spec; a key or element deleted; or a key or
+    element added. Each edit lands at a random depth up to ``max_depth``,
+    most often at the deepest, a single number of a matrix entry."""
+    root = [copy.deepcopy(value)]
     for _ in range(draw(st.integers(1, 3))):
         holder, key = root, 0
-        for _ in range(draw(st.sampled_from(range(7, -1, -1)))):
+        for _ in range(draw(st.sampled_from(range(max_depth, -1, -1)))):
             node = holder[key]
             if isinstance(node, dict) and node:
                 holder, key = node, draw(st.sampled_from(sorted(node)))
@@ -275,27 +290,39 @@ def mutated_algebras(draw):
         edit = draw(st.sampled_from(["replace", "delete", "add", "number"]))
         target = holder[key]
         if edit == "number":
-            holder[key] = draw(st.floats() | st.integers())
+            holder[key] = draw(NUMBERS)
         elif edit == "delete" and holder is not root:
             del holder[key]
         elif edit == "add" and isinstance(target, dict):
-            target[draw(st.text(max_size=8))] = draw(JSON_VALUES)
+            target[draw(st.sampled_from(FIELD_NAMES) | st.text(max_size=8))] = draw(NEW_VALUES)
         elif edit == "add" and isinstance(target, list):
-            target.insert(draw(st.integers(0, len(target))), draw(JSON_VALUES))
+            target.insert(draw(st.integers(0, len(target))), draw(NEW_VALUES))
         else:
-            holder[key] = draw(JSON_VALUES)
+            holder[key] = draw(NEW_VALUES)
     return root[0]
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(algebra=mutated_algebras())
-def test_mutated_algebra_gives_an_answer_or_one_error_line(tmp_path_factory, algebra):
-    spec = tmp_path_factory.mktemp("algebra") / "system.json"
-    spec.write_text(json.dumps({"rho": GOLDEN_MEASURE["rho"], "algebra": algebra}), encoding="utf-8")
-    for command in ("measure", "check"):
+@st.composite
+def mutated_algebras(draw):
+    """The golden measure spec's algebra after :func:`_mutate`."""
+    return _mutate(draw, GOLDEN_MEASURE["algebra"], 7)
+
+
+@st.composite
+def mutated_specs(draw):
+    """One golden spec after :func:`_mutate`, any field or the whole spec."""
+    return _mutate(draw, GOLDEN_SPECS[draw(st.sampled_from(sorted(GOLDEN_SPECS)))], 8)
+
+
+def _answer_or_one_error_line(spec_obj, tmp_path_factory, commands, extra=()) -> None:
+    """Run each command in-process: exit 0 with output and a silent stderr, or
+    exit 1 with no output and one ``error[...]`` line of at most 300 characters."""
+    spec = tmp_path_factory.mktemp("spec") / "system.json"
+    spec.write_text(json.dumps(spec_obj), encoding="utf-8")
+    for command in commands:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--spec", str(spec)])
+            code = main([command, "--spec", str(spec), *extra])
         if code == 0:
             assert out.getvalue() and not err.getvalue()
         else:
@@ -304,6 +331,19 @@ def test_mutated_algebra_gives_an_answer_or_one_error_line(tmp_path_factory, alg
             text = err.getvalue()
             assert text.startswith("error[") and text.count("\n") == 1 and text.endswith("\n")
             assert len(text) <= 300, text
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(algebra=mutated_algebras())
+def test_mutated_algebra_gives_an_answer_or_one_error_line(tmp_path_factory, algebra):
+    _answer_or_one_error_line({"rho": GOLDEN_MEASURE["rho"], "algebra": algebra}, tmp_path_factory, ("measure", "check"))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=mutated_specs(), as_json=st.booleans())
+def test_mutated_spec_gives_an_answer_or_one_error_line(tmp_path_factory, spec, as_json):
+    extra = ["--json"] if as_json else []
+    _answer_or_one_error_line(spec, tmp_path_factory, ("classical", "quantum", "dephase", "measure", "sample", "check"), extra)
 
 
 # --- sample ---
@@ -469,6 +509,29 @@ def test_invalid_reality_mode_value(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", "--spec", spec)
     assert code == 1
     assert err.startswith("error[SpecParse]")
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (
+            {"reality_mode": [[[0.5, 0.0]] * 40] * 40, "rho": PLUS_ROWS},
+            'error[SpecParse]: reality_mode must be "complex" or "real", got list\n',
+        ),
+        (
+            {"reality_mode": "q" * 1000, "rho": PLUS_ROWS},
+            "error[SpecParse]: reality_mode must be \"complex\" or \"real\", got 'qqqqqqqqqqqq...qqqqqqqqqqqqq'\n",
+        ),
+        (
+            {"cycle": {"n": 2, "schedule": [[1, 1.0], [10**400, 1.0]]}},
+            f"error[Validation]: state 1{'0' * 17}...{'0' * 19} outside 1..2\n",
+        ),
+    ],
+    ids=["mode-matrix", "mode-long-string", "state-400-digits"],
+)
+def test_refusals_shorten_the_values_they_echo(tmp_path, capsys, obj, message):
+    code, out, err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, obj))
+    assert (code, out, err) == (1, "", message)
 
 
 def test_quantum_needs_rho_and_projectors(tmp_path, capsys):

@@ -512,3 +512,10 @@ def test_non_commuting_product_hermiticity_defect():
 def test_is_pure():
     assert is_pure(DensityMatrix(PLUS_STATE))
     assert not is_pure(DensityMatrix(np.diag([0.5, 0.5])))
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_is_pure_at_large_n(n):
+    rng = np.random.default_rng(90 + n)
+    assert is_pure(DensityMatrix(random_projector_matrix(rng, n, rank=1)))
+    assert not is_pure(random_density(rng, n))

@@ -24,7 +24,6 @@ from traceprob import (
     NotRealError,
     Projector,
     RealityMode,
-    ValidationError,
     default_cluster_tol,
     dephase,
     energy_blocks,
@@ -137,7 +136,7 @@ def test_energy_blocks_resolution_of_identity():
 def test_energy_blocks_cluster_gaps_exceed_tol():
     h = Hamiltonian(np.diag([0.0, 1e-12, 1.0, 1.0 + 1e-12, 2.0]))
     tol = default_cluster_tol(h)
-    blocks = energy_blocks(h, tol)
+    blocks = energy_blocks(h)
     assert blocks.count == 3
     gaps = np.diff(blocks.energies)
     assert np.all(gaps > tol)
@@ -145,7 +144,7 @@ def test_energy_blocks_cluster_gaps_exceed_tol():
 
 def test_energy_blocks_chain_small_gaps_into_one_wide_sector():
     # Clustering is greedy on consecutive gaps, so a sector's width is not
-    # bounded by cluster_tol: 64 levels 0.9 tol apart form one sector 56.7 tol wide.
+    # bounded by the clustering tolerance: 64 levels 0.9 tol apart form one sector 56.7 tol wide.
     tol = 1e-8
     levels = 0.9 * tol * np.arange(64)
     h = Hamiltonian(np.diag(levels))
@@ -158,11 +157,6 @@ def test_energy_blocks_chain_small_gaps_into_one_wide_sector():
     # One gap just above tol splits the chain there, and only there.
     levels[32:] += 0.2 * tol
     assert energy_blocks(Hamiltonian(np.diag(levels))).clusters == (tuple(range(32)), tuple(range(32, 64)))
-
-
-def test_energy_blocks_rejects_bad_tol():
-    with pytest.raises(ValidationError):
-        energy_blocks(Hamiltonian(np.eye(2)), 0.0)
 
 
 def test_default_cluster_tol_scales_with_spectrum():
@@ -300,18 +294,10 @@ def test_pinching_matches_sector_sum(n):
     assert verdicts == [True, True, False]
 
 
-def test_energy_blocks_cached_per_tolerance():
+def test_energy_blocks_built_once_and_sealed():
     rng = np.random.default_rng(62)
     h = degenerate_hamiltonian(rng, 8)
-    default = energy_blocks(h)
-    assert energy_blocks(h) is default
-    assert energy_blocks(h, default_cluster_tol(h)) is default
-    wide = energy_blocks(h, 10.0)
-    assert wide is not default
-    assert energy_blocks(h, 10.0) is wide
-    assert wide.count == 1
-    with pytest.raises(ValidationError):
-        energy_blocks(h, 0.0)
+    assert energy_blocks(h) is energy_blocks(h)
     with pytest.raises(AttributeError):
         h._blocks = None
 
@@ -366,11 +352,10 @@ def test_dephase_and_compliance_build_no_projectors(monkeypatch, tmp_path, capsy
 def test_clusters_invariant_under_shift_and_scale(n, c):
     rng = np.random.default_rng(64 + n)
     h = degenerate_hamiltonian(rng, n)
-    tol = 1e-6
-    reference = energy_blocks(h, tol)
+    reference = energy_blocks(h)
     assert reference.count < n
-    shifted = energy_blocks(Hamiltonian(h.mat + c * np.eye(n)), tol)
-    scaled = energy_blocks(Hamiltonian(c * h.mat), c * tol)
+    shifted = energy_blocks(Hamiltonian(h.mat + c * np.eye(n)))
+    scaled = energy_blocks(Hamiltonian(c * h.mat))
     for blocks in (shifted, scaled):
         assert blocks.clusters == reference.clusters
         assert blocks.labels.tolist() == reference.labels.tolist()
