@@ -32,11 +32,20 @@ def _integer(x, what: str) -> int:
         raise ValidationError(f"{what} must be an integer, got {type(x).__name__}") from None
 
 
+class _FloatOverflow(ValidationError):
+    """A real number beyond the float range; :class:`ClassicalCycle` words it for its schedule."""
+
+
 def _real(x, what: str) -> float:
-    """``x`` as a float: real numbers only, so '0.5' or None is refused rather than parsed."""
+    """``x`` as a float: real numbers only, so '0.5' or None is refused rather
+    than parsed, and one beyond the float range (an int such as 10**400) is
+    refused rather than raising OverflowError."""
     if not isinstance(x, (float, int, numbers.Real)):  # float and int skip the slower ABC check
         raise ValidationError(f"{what} must be a real number, got {type(x).__name__}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise _FloatOverflow(f"{what} {reprlib.repr(x)} is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,7 @@ class ClassicalCycle:
                 entries.append((_integer(state, "state"), _real(duration, "dwell duration")))
             except (TypeError, ValueError):
                 raise ValidationError(f"schedule entry {i} must be a (state, duration) pair") from None
-            except OverflowError:
+            except _FloatOverflow:
                 raise ValidationError(f"schedule entry {i} overflows an int state or a float duration") from None
         object.__setattr__(self, "schedule", tuple(entries))
         if self.n < 1:

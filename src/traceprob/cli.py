@@ -1,9 +1,11 @@
 """Batch command-line front-end.
 
 One system description file per invocation; the subcommand selects the
-pipeline. Human-readable tables go to stdout (or the --out path), --json
-switches to a machine format, and all diagnostics go to stderr with a
-category tag. Exit status is 0 on success and nonzero on every error path.
+pipeline. Each subcommand computes one payload. Human-readable tables are
+rendered from it and go to stdout (or the --out path); --json writes the
+payload instead, exactly as ``json.dumps(indent=2)`` would, and renders no
+text. All diagnostics go to stderr with a category tag. Exit status is 0 on
+success and nonzero on every error path.
 """
 
 from __future__ import annotations
@@ -11,13 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
 
 import numpy as np
 
 from .classical import PerceptionSet, classical_density, classical_prob, diag_projector, dwell_fractions
 from .errors import TraceProbError, ValidationError, located
-from .matcore import DEFAULT_TOL, matrix_to_rows, trace
+from .matcore import DEFAULT_TOL, trace
 from .measure import measure_of, normalized_prob, total_measure
 from .quantum import DensityMatrix, Projector, RealityMode, trace_prob
 from .sampler import deviation_check, sample_classical, sample_measurement
@@ -47,6 +50,48 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out)
 
 
+# Separators of a matrix written as the value of a top-level key by
+# json.dumps(indent=2): rows of [re, im] pairs, one number per line. Each
+# float of the matrix follows one of the first four; the last closes it.
+_MATRIX_OPEN = "[\n    [\n      [\n        "
+_NEXT_ROW = "\n      ]\n    ],\n    [\n      [\n        "
+_NEXT_ENTRY = "\n      ],\n      [\n        "
+_IMAG = ",\n        "
+_MATRIX_CLOSE = "\n      ]\n    ]\n  ]"
+
+
+def _matrix_json(a: np.ndarray) -> str:
+    n_rows, n_cols = a.shape
+    row = [_NEXT_ENTRY, "", _IMAG, ""] * n_cols  # separator, float, separator, float, ...
+    row[0] = _NEXT_ROW
+    parts = row * n_rows
+    parts[0] = _MATRIX_OPEN
+    parts[1::2] = map(float.__repr__, np.stack([a.real, a.imag], -1).ravel().tolist())
+    return "".join(parts) + _MATRIX_CLOSE
+
+
+def json_text(payload: dict) -> str:
+    """``json.dumps(p, indent=2)`` byte for byte, where ``p`` is ``payload``
+    with each ndarray value replaced by its ``matrix_to_rows`` form.
+
+    ``payload`` is a nonempty dict; an ndarray may appear only as a top-level
+    value, and is always the ``.mat`` of an admitted operator (complex, n×n,
+    n ≥ 1, finite), so each entry's ``float.__repr__`` is what the encoder
+    writes. Other values go through ``json.dumps(indent=2)`` and are indented
+    one level by prefixing every line break: a JSON string holds no raw
+    newline. Matrices are written as one join of float reprs between fixed
+    separators, at C speed; ``json.dumps`` with an indent runs the
+    pure-Python encoder.
+    """
+    items = [
+        json.dumps(key)
+        + ": "
+        + (_matrix_json(value) if isinstance(value, np.ndarray) else json.dumps(value, indent=2).replace("\n", "\n  "))
+        for key, value in payload.items()
+    ]
+    return "{\n  " + ",\n  ".join(items) + "\n}"
+
+
 def _require(spec: SystemSpec, command: str, **fields):
     missing = [name for name, value in fields.items() if value is None or value == ()]
     if missing:
@@ -56,21 +101,25 @@ def _require(spec: SystemSpec, command: str, **fields):
 def _require_char_vectors(spec: SystemSpec):
     for lp in spec.projectors:
         if lp.chi is None:
-            with located(f"projector {lp.label!r}"):
+            with located(f"projector {reprlib.repr(lp.label)}"):
                 raise ValidationError("must be a characteristic vector for the classical command")
 
 
-def cmd_classical(spec: SystemSpec, args) -> tuple[str, dict]:
+# Each cmd_* returns the payload that --json writes; matrices in it are the
+# operators' own arrays. Without --json, the command's render_* turns the
+# payload (and, where the payload does not carry it, the spec) into text.
+
+
+def cmd_classical(spec: SystemSpec, args) -> dict:
     _require(spec, "classical", cycle=spec.cycle, projectors=spec.projectors)
     _require_char_vectors(spec)
     f = dwell_fractions(spec.cycle)
     rho = DensityMatrix(classical_density(f), mode=spec.mode, tol=args.tol)
-    rows, sets = [], []
+    sets = []
     for lp in spec.projectors:
         s = PerceptionSet(lp.chi)
         p_cl = classical_prob(s, f)
         p_tr = trace_prob(Projector(diag_projector(s), mode=spec.mode, tol=args.tol), rho)
-        rows.append([lp.label, _fmt(p_cl), _fmt(p_tr), _fmt(abs(p_cl - p_tr))])
         sets.append(
             {
                 "label": lp.label,
@@ -80,87 +129,97 @@ def cmd_classical(spec: SystemSpec, args) -> tuple[str, dict]:
                 "abs_diff": abs(p_cl - p_tr),
             }
         )
-    text = "\n".join(
+    return {"fractions": list(f.f), "rho": rho.mat, "sets": sets}
+
+
+def render_classical(spec: SystemSpec, payload: dict) -> str:
+    rows = [
+        [s["label"], _fmt(s["classical_prob"]), _fmt(s["trace_prob"]), _fmt(s["abs_diff"])] for s in payload["sets"]
+    ]
+    return "\n".join(
         [
             f"cycle: n={spec.cycle.n}, period={_fmt(spec.cycle.period)}",
-            "dwell fractions: " + "  ".join(_fmt(x) for x in f.f),
+            "dwell fractions: " + "  ".join(_fmt(x) for x in payload["fractions"]),
             "diagonal density matrix:",
-            _fmt_matrix(rho.mat),
+            _fmt_matrix(payload["rho"]),
             "",
             _table(["set", "classical", "trace-rule", "|diff|"], rows),
         ]
     )
-    payload = {
-        "fractions": list(f.f),
-        "rho": matrix_to_rows(rho.mat),
-        "sets": sets,
-    }
-    return text, payload
 
 
-def cmd_quantum(spec: SystemSpec, args) -> tuple[str, dict]:
+def cmd_quantum(spec: SystemSpec, args) -> dict:
     _require(spec, "quantum", rho=spec.rho, projectors=spec.projectors)
     have_h = spec.hamiltonian is not None
     rho_deph = dephase(spec.rho, spec.hamiltonian) if have_h else None
-    headers = ["projector", "probability"] + (["compliant", "dephased"] if have_h else [])
-    rows, entries = [], []
+    entries = []
     for lp in spec.projectors:
-        p = trace_prob(lp.projector, spec.rho)
-        entry = {"label": lp.label, "probability": p}
-        row = [lp.label, _fmt(p)]
+        entry = {"label": lp.label, "probability": trace_prob(lp.projector, spec.rho)}
         if have_h:
-            ok = is_superselection_compliant(lp.projector, spec.hamiltonian)
-            pd = trace_prob(lp.projector, rho_deph)
-            entry["compliant"] = ok
-            entry["dephased_probability"] = pd
-            row += ["yes" if ok else "no", _fmt(pd)]
-        rows.append(row)
+            entry["compliant"] = is_superselection_compliant(lp.projector, spec.hamiltonian)
+            entry["dephased_probability"] = trace_prob(lp.projector, rho_deph)
         entries.append(entry)
-    text = _table(headers, rows)
     payload = {"projectors": entries}
     if have_h:
-        payload["rho_dephased"] = matrix_to_rows(rho_deph.mat)
-    return text, payload
+        payload["rho_dephased"] = rho_deph.mat
+    return payload
 
 
-def cmd_dephase(spec: SystemSpec, args) -> tuple[str, dict]:
+def render_quantum(spec: SystemSpec, payload: dict) -> str:
+    have_h = "rho_dephased" in payload
+    headers = ["projector", "probability"] + (["compliant", "dephased"] if have_h else [])
+    rows = []
+    for e in payload["projectors"]:
+        row = [e["label"], _fmt(e["probability"])]
+        if have_h:
+            row += ["yes" if e["compliant"] else "no", _fmt(e["dephased_probability"])]
+        rows.append(row)
+    return _table(headers, rows)
+
+
+def cmd_dephase(spec: SystemSpec, args) -> dict:
     _require(spec, "dephase", rho=spec.rho, hamiltonian=spec.hamiltonian)
     blocks = energy_blocks(spec.hamiltonian)
     rho_deph = dephase(spec.rho, spec.hamiltonian)
-    tr = trace(rho_deph.mat).real
-    lines = [f"energy blocks: {blocks.count}"]
-    for k, (energy, cluster) in enumerate(zip(blocks.energies, blocks.clusters)):
-        lines.append(f"  block {k}: energy={_fmt(energy)}, eigenvector indices={list(cluster)}")
-    lines += ["dephased density matrix:", _fmt_matrix(rho_deph.mat), f"trace: {_fmt(tr)}"]
-    payload = {
+    return {
         "blocks": {
             "count": blocks.count,
             "energies": list(blocks.energies),
             "clusters": [list(c) for c in blocks.clusters],
         },
-        "rho_dephased": matrix_to_rows(rho_deph.mat),
-        "trace": tr,
+        "rho_dephased": rho_deph.mat,
+        "trace": trace(rho_deph.mat).real,
     }
-    return "\n".join(lines), payload
 
 
-def cmd_measure(spec: SystemSpec, args) -> tuple[str, dict]:
+def render_dephase(spec: SystemSpec, payload: dict) -> str:
+    blocks = payload["blocks"]
+    lines = [f"energy blocks: {blocks['count']}"]
+    for k, (energy, cluster) in enumerate(zip(blocks["energies"], blocks["clusters"])):
+        lines.append(f"  block {k}: energy={_fmt(energy)}, eigenvector indices={cluster}")
+    lines += ["dephased density matrix:", _fmt_matrix(payload["rho_dephased"]), f"trace: {_fmt(payload['trace'])}"]
+    return "\n".join(lines)
+
+
+def cmd_measure(spec: SystemSpec, args) -> dict:
     _require(spec, "measure", algebra=spec.algebra, rho=spec.rho)
     alg, rho = spec.algebra, spec.rho
     total = total_measure(alg, rho)
-    rows, atoms = [], []
-    for label in alg.labels:
-        m = measure_of(alg, {label}, rho)
-        p = normalized_prob(alg, {label}, rho)
-        rows.append([label, _fmt(m), _fmt(p)])
-        atoms.append({"label": label, "measure": m, "normalized_prob": p})
-    text = "\n".join(
-        [_table(["atom", "measure", "normalized"], rows), f"total measure: {_fmt(total)}"]
+    atoms = [
+        {"label": label, "measure": measure_of(alg, {label}, rho), "normalized_prob": normalized_prob(alg, {label}, rho)}
+        for label in alg.labels
+    ]
+    return {"atoms": atoms, "total_measure": total}
+
+
+def render_measure(spec: SystemSpec, payload: dict) -> str:
+    rows = [[a["label"], _fmt(a["measure"]), _fmt(a["normalized_prob"])] for a in payload["atoms"]]
+    return "\n".join(
+        [_table(["atom", "measure", "normalized"], rows), f"total measure: {_fmt(payload['total_measure'])}"]
     )
-    return text, {"atoms": atoms, "total_measure": total}
 
 
-def cmd_sample(spec: SystemSpec, args) -> tuple[str, dict]:
+def cmd_sample(spec: SystemSpec, args) -> dict:
     if spec.cycle is not None:
         report = sample_classical(spec.cycle, args.n, args.seed)
     elif spec.rho is not None and spec.projectors:
@@ -173,42 +232,46 @@ def cmd_sample(spec: SystemSpec, args) -> tuple[str, dict]:
         )
     else:
         raise ValidationError("sample needs a cycle, or projectors plus rho, in the system file")
-    passed = deviation_check(report, SIGMA_MULTIPLIER)
-    rows = [
-        [o, str(c), _fmt(f), _fmt(e)]
-        for o, c, f, e in zip(
-            report.outcomes, report.counts, report.empirical_freqs, report.expected_probs
-        )
-    ]
-    text = "\n".join(
+    payload = report.to_obj()
+    payload["deviation_check_5sigma"] = deviation_check(report, SIGMA_MULTIPLIER)
+    return payload
+
+
+def render_sample(spec: SystemSpec, payload: dict) -> str:
+    columns = zip(payload["outcomes"], payload["counts"], payload["empirical_freqs"], payload["expected_probs"])
+    rows = [[o, str(c), _fmt(f), _fmt(e)] for o, c, f, e in columns]
+    return "\n".join(
         [
             _table(["outcome", "count", "frequency", "expected"], rows),
-            f"max |frequency - expected|: {_fmt(report.max_abs_deviation)}",
-            f"deviation check (5 sigma): {'pass' if passed else 'FAIL'}",
+            f"max |frequency - expected|: {_fmt(payload['max_abs_deviation'])}",
+            f"deviation check (5 sigma): {'pass' if payload['deviation_check_5sigma'] else 'FAIL'}",
         ]
     )
-    payload = report.to_obj()
-    payload["deviation_check_5sigma"] = passed
-    return text, payload
 
 
-def cmd_check(spec: SystemSpec, args) -> tuple[str, dict]:
+def cmd_check(spec: SystemSpec, args) -> dict:
     names = ("cycle", "rho", "hamiltonian", "projectors", "algebra")
     fields = [name for name in names if getattr(spec, name) not in (None, ())]
     if spec.cycle is not None and spec.projectors:
         _require_char_vectors(spec)
+    return {"ok": True, "fields": fields, "dim": spec.dim, "reality_mode": spec.mode.value}
+
+
+def render_check(spec: SystemSpec, payload: dict) -> str:
+    """The payload's fields, then each projector's sector compliance, which
+    only the text shows, so ``check --json`` does not compute it."""
+    fields, dim = payload["fields"], payload["dim"]
     lines = [
         f"fields: {', '.join(fields) if fields else '(none)'}",
-        f"dimension: {spec.dim if spec.dim is not None else '(none)'}",
-        f"reality mode: {spec.mode.value}",
+        f"dimension: {dim if dim is not None else '(none)'}",
+        f"reality mode: {payload['reality_mode']}",
     ]
     if spec.hamiltonian is not None and spec.projectors:
         for lp in spec.projectors:
             ok = is_superselection_compliant(lp.projector, spec.hamiltonian)
             lines.append(f"projector {lp.label!r} superselection-compliant: {'yes' if ok else 'no'}")
     lines.append("all validations passed")
-    payload = {"ok": True, "fields": fields, "dim": spec.dim, "reality_mode": spec.mode.value}
-    return "\n".join(lines), payload
+    return "\n".join(lines)
 
 
 _COMMANDS = {
@@ -218,6 +281,14 @@ _COMMANDS = {
     "measure": cmd_measure,
     "sample": cmd_sample,
     "check": cmd_check,
+}
+_RENDERERS = {
+    "classical": render_classical,
+    "quantum": render_quantum,
+    "dephase": render_dephase,
+    "measure": render_measure,
+    "sample": render_sample,
+    "check": render_check,
 }
 
 
@@ -272,10 +343,10 @@ def main(argv=None) -> int:
         if not (math.isfinite(args.tol) and args.tol > 0.0):
             raise ValidationError(f"--tol must be finite and > 0, got {args.tol!r}")
         spec = load_system_spec(args.spec, mode_override=mode, tol=args.tol)
-        text, payload = _COMMANDS[args.command](spec, args)
+        payload = _COMMANDS[args.command](spec, args)
+        output = (json_text(payload) if args.json else _RENDERERS[args.command](spec, payload)) + "\n"
     except TraceProbError as exc:
         return _fail(type(exc).__name__.removesuffix("Error"), exc)
-    output = json.dumps(payload, indent=2) + "\n" if args.json else text + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

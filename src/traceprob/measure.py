@@ -13,6 +13,7 @@ and ratios of sub-measures give conditional probabilities.
 from __future__ import annotations
 
 import math
+import reprlib
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -228,7 +229,7 @@ def algebra_from_obj(
         label = atom["label"]
         if not isinstance(label, str):
             raise SpecParseError(f"algebra atom {i}: label must be a string, got {type(label).__name__}")
-        where = f"algebra atom {i} ({label!r})"
+        where = f"algebra atom {i} ({reprlib.repr(label)})"
         with located(where, SpecParseError):
             if label in ops:
                 raise SpecParseError(f"label repeats atom {list(ops).index(label)}")

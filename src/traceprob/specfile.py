@@ -103,7 +103,7 @@ def load_system_spec(
     known = {"cycle", "rho", "hamiltonian", "projectors", "algebra", "reality_mode"}
     extra = set(obj) - known
     if extra:
-        raise SpecParseError(f"unknown keys: {sorted(extra)}")
+        raise SpecParseError(f"unknown keys: {reprlib.repr(sorted(extra))}")
 
     if mode_override is not None:
         mode = mode_override
@@ -126,7 +126,7 @@ def load_system_spec(
         if not isinstance(raw, dict) or not raw:
             raise SpecParseError("projectors must be a nonempty object of label -> value")
         for label, value in raw.items():
-            where = f"projector {label!r}"
+            where = f"projector {reprlib.repr(label)}"
             with located(where):
                 pset = PerceptionSet(value) if _is_char_vector(value) else None
             if pset is None:
@@ -137,7 +137,7 @@ def load_system_spec(
     algebra = algebra_from_obj(obj["algebra"], mode=mode, tol=tol) if "algebra" in obj else None
 
     fields = [("rho", rho), ("hamiltonian", hamiltonian)]
-    fields += [(f"projector {lp.label!r}", lp.projector) for lp in projectors]
+    fields += [(f"projector {reprlib.repr(lp.label)}", lp.projector) for lp in projectors]
     fields.append(("algebra", algebra))
     dims = {"cycle": cycle.n} if cycle is not None else {}
     dims.update((name, value.dim) for name, value in fields if value is not None)

@@ -324,6 +324,24 @@ def test_fraction_vector_normalized():
         FractionVector.normalized((1.0, -1.0))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FractionVector([10**400]), "fraction 100000000000000000...0000000000000000000 is beyond the float range"),
+        (
+            lambda: FractionVector.normalized([10**400, 1]),
+            "weight 100000000000000000...0000000000000000000 is beyond the float range",
+        ),
+        (lambda: ClassicalCycle(2, [(1, 1.0), (2, 10**400)]), "schedule entry 1 overflows an int state or a float duration"),
+    ],
+    ids=["fraction", "weight", "cycle-duration"],
+)
+def test_ints_beyond_the_float_range_are_refused_with_a_typed_error(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # --- inclusion-exclusion ---
 
 

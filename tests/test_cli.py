@@ -6,6 +6,7 @@ import contextlib
 import copy
 import io
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from traceprob import matrix_to_rows
-from traceprob.cli import main
+from traceprob.cli import json_text, main
 
 PLUS_ROWS = matrix_to_rows(np.full((2, 2), 0.5))
 DIAG_10_ROWS = matrix_to_rows(np.diag([1.0, 0.0]))
@@ -261,10 +262,14 @@ GOLDEN_MEASURE = GOLDEN_SPECS["measure"]
 GOLDEN_FIELDS = [value for spec in GOLDEN_SPECS.values() for value in spec.values()]
 FIELD_NAMES = sorted({key for spec in GOLDEN_SPECS.values() for key in spec} | {"n", "schedule", "atoms", "label", "operator"})
 NUMBERS = st.floats() | st.integers() | st.sampled_from([10**30, -(10**30), 2**63, 10**400, 0, 1, -1])
+# Strings, labels and keys: short ones, and ones long enough (a short text
+# repeated 75 to 400 times) that echoing one whole would break the bound on
+# an error line.
+TEXT = st.text(max_size=8) | st.builds(operator.mul, st.text(min_size=1, max_size=4), st.integers(75, 400))
 
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | NUMBERS | st.text(max_size=8) | st.sampled_from(["a0", "a1", "real"]),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    st.none() | st.booleans() | NUMBERS | TEXT | st.sampled_from(["a0", "a1", "real"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
     max_leaves=10,
 )
 NEW_VALUES = JSON_VALUES | st.sampled_from(GOLDEN_FIELDS).map(copy.deepcopy)
@@ -294,7 +299,7 @@ def _mutate(draw, value, max_depth: int):
         elif edit == "delete" and holder is not root:
             del holder[key]
         elif edit == "add" and isinstance(target, dict):
-            target[draw(st.sampled_from(FIELD_NAMES) | st.text(max_size=8))] = draw(NEW_VALUES)
+            target[draw(st.sampled_from(FIELD_NAMES) | TEXT)] = draw(NEW_VALUES)
         elif edit == "add" and isinstance(target, list):
             target.insert(draw(st.integers(0, len(target))), draw(NEW_VALUES))
         else:
@@ -314,23 +319,29 @@ def mutated_specs(draw):
     return _mutate(draw, GOLDEN_SPECS[draw(st.sampled_from(sorted(GOLDEN_SPECS)))], 8)
 
 
-def _answer_or_one_error_line(spec_obj, tmp_path_factory, commands, extra=()) -> None:
-    """Run each command in-process: exit 0 with output and a silent stderr, or
-    exit 1 with no output and one ``error[...]`` line of at most 300 characters."""
+def _answer_or_one_error_line(spec_obj, tmp_path_factory, commands, modes=((),)) -> None:
+    """Run each command in-process once per output mode (extra arguments): exit
+    0 with output and a silent stderr, or exit 1 with no output and one
+    ``error[...]`` line of at most 300 characters. The exit code and stderr
+    must be the same in every mode."""
     spec = tmp_path_factory.mktemp("spec") / "system.json"
     spec.write_text(json.dumps(spec_obj), encoding="utf-8")
     for command in commands:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--spec", str(spec), *extra])
-        if code == 0:
-            assert out.getvalue() and not err.getvalue()
-        else:
-            assert code == 1
-            assert out.getvalue() == ""
-            text = err.getvalue()
-            assert text.startswith("error[") and text.count("\n") == 1 and text.endswith("\n")
-            assert len(text) <= 300, text
+        outcomes = set()
+        for extra in modes:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--spec", str(spec), *extra])
+            if code == 0:
+                assert out.getvalue() and not err.getvalue()
+            else:
+                assert code == 1
+                assert out.getvalue() == ""
+                text = err.getvalue()
+                assert text.startswith("error[") and text.count("\n") == 1 and text.endswith("\n")
+                assert len(text) <= 300, text
+            outcomes.add((code, err.getvalue()))
+        assert len(outcomes) == 1, (command, outcomes)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -339,11 +350,57 @@ def test_mutated_algebra_gives_an_answer_or_one_error_line(tmp_path_factory, alg
     _answer_or_one_error_line({"rho": GOLDEN_MEASURE["rho"], "algebra": algebra}, tmp_path_factory, ("measure", "check"))
 
 
+ALL_COMMANDS = ("classical", "quantum", "dephase", "measure", "sample", "check")
+BOTH_MODES = ((), ("--json",))
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(spec=mutated_specs(), as_json=st.booleans())
-def test_mutated_spec_gives_an_answer_or_one_error_line(tmp_path_factory, spec, as_json):
-    extra = ["--json"] if as_json else []
-    _answer_or_one_error_line(spec, tmp_path_factory, ("classical", "quantum", "dephase", "measure", "sample", "check"), extra)
+@given(spec=mutated_specs())
+def test_mutated_spec_gives_an_answer_or_one_error_line(tmp_path_factory, spec):
+    _answer_or_one_error_line(spec, tmp_path_factory, ALL_COMMANDS, modes=BOTH_MODES)
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN_SPECS))
+def test_golden_spec_gets_the_same_exit_and_stderr_in_both_modes(tmp_path_factory, stem):
+    # Mutations mostly break a spec at load time; the intact specs reach every
+    # command's renderer, and the refusals that come after loading.
+    _answer_or_one_error_line(GOLDEN_SPECS[stem], tmp_path_factory, ALL_COMMANDS, modes=BOTH_MODES)
+
+
+# --- the --json writer ---
+
+# Entries whose reprs take each form: signed zero, the smallest subnormal,
+# and the exponent forms at both ends.
+MATRIX_ENTRIES = st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 1e16, 1e22, -1e22]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+WRITER_LABELS = TEXT | st.sampled_from(['say "hi"', "two\nlines", "ünïcødé ψ", "traceprob-matrix-0", "back\\slash"])
+
+
+@st.composite
+def complex_matrices(draw):
+    n = draw(st.integers(1, 6))
+    a = np.empty((n, n), dtype=complex)
+    for part in (a.real, a.imag):
+        part[...] = np.reshape(draw(st.lists(MATRIX_ENTRIES, min_size=n * n, max_size=n * n)), (n, n))
+    return np.asfortranarray(a) if draw(st.booleans()) else a
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    payload=st.dictionaries(
+        WRITER_LABELS,
+        complex_matrices()
+        | JSON_VALUES
+        | WRITER_LABELS
+        | st.lists(st.fixed_dictionaries({"label": WRITER_LABELS, "probability": MATRIX_ENTRIES})),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_json_writer_is_indented_dumps_byte_for_byte(payload):
+    rows = {key: matrix_to_rows(v) if isinstance(v, np.ndarray) else v for key, v in payload.items()}
+    assert json_text(payload) == json.dumps(rows, indent=2)
 
 
 # --- sample ---
@@ -526,8 +583,40 @@ def test_invalid_reality_mode_value(tmp_path, capsys):
             {"cycle": {"n": 2, "schedule": [[1, 1.0], [10**400, 1.0]]}},
             f"error[Validation]: state 1{'0' * 17}...{'0' * 19} outside 1..2\n",
         ),
+        (
+            {"rho": PLUS_ROWS, "projectors": {"x" * 1000: matrix_to_rows(np.diag([2.0, 0.0]))}},
+            f"error[Validation]: projector '{'x' * 12}...{'x' * 13}': "
+            "matrix is not a projector (Hermitian idempotent) within tolerance\n",
+        ),
+        (
+            {"rho": PLUS_ROWS, "projectors": {"w" * 1000: [1, 0, 1]}},
+            f"error[SpecParse]: dimension mismatch across fields: rho=2, projector '{'w' * 12}...{'w' * 13}'=3\n",
+        ),
+        (
+            {"cycle": {"n": 2, "schedule": [[1, 1.0], [2, 1.0]]}, "projectors": {"v" * 1000: PLUS_ROWS}},
+            f"error[Validation]: projector '{'v' * 12}...{'v' * 13}': "
+            "must be a characteristic vector for the classical command\n",
+        ),
+        (
+            {"rho": ONE_ROWS, "algebra": {"atoms": [{"label": "y" * 1000, "operator": [[[-1.0, 0.0]]]}]}},
+            f"error[Validation]: algebra atom 0 ('{'y' * 12}...{'y' * 13}'): "
+            "POV operator must be positive semidefinite (eigenvalues >= -tol)\n",
+        ),
+        (
+            {"rho": PLUS_ROWS, "z" * 1000: 1},
+            f"error[SpecParse]: unknown keys: ['{'z' * 12}...{'z' * 13}']\n",
+        ),
     ],
-    ids=["mode-matrix", "mode-long-string", "state-400-digits"],
+    ids=[
+        "mode-matrix",
+        "mode-long-string",
+        "state-400-digits",
+        "projector-label",
+        "projector-label-dimension",
+        "projector-label-char-vector",
+        "atom-label",
+        "unknown-key",
+    ],
 )
 def test_refusals_shorten_the_values_they_echo(tmp_path, capsys, obj, message):
     code, out, err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, obj))

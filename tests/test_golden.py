@@ -1,10 +1,17 @@
-"""Golden CLI corpus: ``--json`` output of every subcommand on fixed spec files.
+"""Golden CLI corpus: the output of every subcommand on fixed spec files.
 
 Each case runs one subcommand on one spec file under ``tests/golden/`` and
-compares its payload with the recorded one in ``tests/golden/expected/``:
-keys, strings, booleans and integers (``sample`` counts included) must match
-exactly, floats within ``FLOAT_ATOL``. The corpus guards refactors that are
-meant to keep the CLI's numbers.
+compares with the recorded output in ``tests/golden/expected/``:
+
+- ``<case>.json``, the ``--json`` payload: keys, strings, booleans and
+  integers (``sample`` counts included) must match exactly, floats within
+  ``FLOAT_ATOL``, because their last bits depend on the BLAS build;
+- ``<case>.txt``, the text output, byte for byte.
+
+The ``--json`` text itself must be ``json.dumps(payload, indent=2)`` plus a
+newline, byte for byte; that is checked against the payload it parses to, so
+it does not depend on the BLAS build either. The corpus guards refactors that
+are meant to keep the CLI's output.
 
 To record the corpus from a source tree, run this file as a script with that
 tree on the path::
@@ -57,12 +64,13 @@ def _case_id(case) -> str:
     return f"{case[0]}-{case[1]}"
 
 
-def _run(stem: str, command: str, extra: list[str]) -> dict:
+def _stdout(stem: str, command: str, extra: list[str], as_json: bool) -> str:
     buf = io.StringIO()
+    mode = ["--json"] if as_json else []
     with contextlib.redirect_stdout(buf):
-        code = main([command, "--spec", str(GOLDEN / f"{stem}.json"), "--json", *extra])
+        code = main([command, "--spec", str(GOLDEN / f"{stem}.json"), *mode, *extra])
     assert code == 0, f"{command} on {stem}.json exited {code}"
-    return json.loads(buf.getvalue())
+    return buf.getvalue()
 
 
 def _assert_matches(got, want, path: str = "$") -> None:
@@ -86,26 +94,40 @@ def _assert_matches(got, want, path: str = "$") -> None:
 def test_golden_cli_output(case):
     stem, command, extra = case
     want = json.loads((EXPECTED / f"{_case_id(case)}.json").read_text(encoding="utf-8"))
-    _assert_matches(_run(stem, command, extra), want)
+    _assert_matches(json.loads(_stdout(stem, command, extra, as_json=True)), want)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_golden_json_is_indented_dumps_byte_for_byte(case):
+    out = _stdout(*case, as_json=True)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_golden_text_output(case):
+    want = (EXPECTED / f"{_case_id(case)}.txt").read_text(encoding="utf-8")
+    assert _stdout(*case, as_json=False) == want
 
 
 def test_golden_corpus_is_complete():
-    recorded = {p.stem for p in EXPECTED.glob("*.json")}
-    assert recorded == {_case_id(c) for c in CASES}
+    for suffix in ("json", "txt"):
+        recorded = {p.stem for p in EXPECTED.glob(f"*.{suffix}")}
+        assert recorded == {_case_id(c) for c in CASES}, suffix
     assert {c[1] for c in CASES} == {"classical", "quantum", "dephase", "measure", "sample", "check"}
 
 
 def record(case_ids=()) -> None:
-    """Write the expected file of each named case, or of every case when none is named."""
+    """Write the expected ``.json`` and ``.txt`` files of each named case, or of
+    every case when none is named."""
     known = {_case_id(c): c for c in CASES}
     unknown = sorted(set(case_ids) - set(known))
     if unknown:
         raise SystemExit(f"unknown golden case ids: {unknown}; known: {sorted(known)}")
     EXPECTED.mkdir(exist_ok=True)
     for case_id in case_ids or known:
-        payload = _run(*known[case_id])
-        path = EXPECTED / f"{case_id}.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        for suffix, as_json in (("json", True), ("txt", False)):
+            out = _stdout(*known[case_id], as_json=as_json)
+            (EXPECTED / f"{case_id}.{suffix}").write_text(out, encoding="utf-8")
 
 
 if __name__ == "__main__":
