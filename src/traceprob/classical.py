@@ -48,6 +48,34 @@ def _real(x, what: str) -> float:
         raise _FloatOverflow(f"{what} {reprlib.repr(x)} is beyond the float range") from None
 
 
+def _first_bad_entry(entries: list) -> ValidationError:
+    """The refusal of the first entry, in schedule order, that is not a pair of
+    an integer state and a real duration within the float range."""
+    for i, entry in enumerate(entries):
+        try:
+            state, duration = entry
+            _integer(state, "state")
+            _real(duration, "dwell duration")
+        except (TypeError, ValueError):
+            return ValidationError(f"schedule entry {i} must be a (state, duration) pair")
+        except _FloatOverflow:
+            return ValidationError(f"schedule entry {i} overflows an int state or a float duration")
+        except ValidationError as exc:
+            return exc
+    return ValidationError("schedule entries must be (state, duration) pairs")
+
+
+def _first_out_of_range(n: int, schedule) -> ValidationError:
+    """The refusal of the first entry, in schedule order, whose state is outside
+    1..n or whose duration is not finite and positive."""
+    for state, duration in schedule:
+        if not 1 <= state <= n:
+            return ValidationError(f"state {reprlib.repr(state)} outside 1..{n}")
+        if not (math.isfinite(duration) and duration > 0.0):
+            return ValidationError(f"dwell duration {duration} must be finite and > 0")
+    return ValidationError(f"schedule entries must have states in 1..{n} and finite durations > 0")
+
+
 @dataclass(frozen=True)
 class ClassicalCycle:
     """Periodic schedule of (state, dwell duration) entries, states 1-based.
@@ -55,64 +83,68 @@ class ClassicalCycle:
     Every state 1..n must appear somewhere in the schedule, every duration
     must be strictly positive, and the period (their sum) must be finite. A
     state may be visited more than once per period; dwell fractions are
-    summed over all its visits.
+    summed over all its visits. ``period`` is the correctly rounded sum of
+    the durations (``math.fsum``).
+
+    The schedule is converted and checked in one pass of C-level ``map`` and
+    numpy calls; only a refused schedule is scanned entry by entry, to name
+    the first bad entry.
     """
 
     n: int
     schedule: tuple[tuple[int, float], ...]
 
     def __init__(self, n: int, schedule: Iterable[Sequence]):
-        object.__setattr__(self, "n", _integer(n, "cycle n"))
-        entries = []
-        for i, entry in enumerate(schedule):
-            try:
-                state, duration = entry
-                entries.append((_integer(state, "state"), _real(duration, "dwell duration")))
-            except (TypeError, ValueError):
-                raise ValidationError(f"schedule entry {i} must be a (state, duration) pair") from None
-            except _FloatOverflow:
-                raise ValidationError(f"schedule entry {i} overflows an int state or a float duration") from None
-        object.__setattr__(self, "schedule", tuple(entries))
-        if self.n < 1:
+        n = _integer(n, "cycle n")
+        entries = list(schedule)
+        pairs: list[tuple] = []
+        try:
+            pairs.extend(map(tuple, entries))  # on failure the pairs made so far are kept for the scan
+            if set(map(len, pairs)) - {2}:
+                raise ValueError
+            states = tuple(map(operator.index, map(operator.itemgetter(0), pairs)))
+            durations = tuple(map(operator.itemgetter(1), pairs))
+            if not all(issubclass(t, (float, int, numbers.Real)) for t in set(map(type, durations))):
+                raise TypeError
+            durations = tuple(map(float, durations))
+        except (TypeError, ValueError, OverflowError):
+            raise _first_bad_entry(pairs + entries[len(pairs) :]) from None
+        if n < 1:
             raise ValidationError("cycle needs at least one state")
-        if not self.schedule:
+        if not states:
             raise ValidationError("schedule must be non-empty")
-        if self.n > len(self.schedule):
+        if n > len(states):
             raise ValidationError(
-                f"cycle n is larger than its number of schedule entries ({len(self.schedule)}), "
-                "so some state never appears"
+                f"cycle n is larger than its number of schedule entries ({len(states)}), so some state never appears"
             )
-        seen = set()
-        for state, duration in self.schedule:
-            if not 1 <= state <= self.n:
-                raise ValidationError(f"state {reprlib.repr(state)} outside 1..{self.n}")
-            if not (math.isfinite(duration) and duration > 0.0):
-                raise ValidationError(f"dwell duration {duration} must be finite and > 0")
-            seen.add(state)
-        if len(seen) != self.n:
-            missing = [i for i in range(1, self.n + 1) if i not in seen]
+        dwell = np.array(durations)
+        if not (min(states) >= 1 and max(states) <= n and ((dwell > 0.0) & (dwell < math.inf)).all()):
+            raise _first_out_of_range(n, zip(states, durations))
+        state_index = np.array(states, dtype=np.int64)
+        visits = np.bincount(state_index - 1, minlength=n)
+        if not visits.all():
+            missing = np.flatnonzero(visits == 0) + 1
             raise ValidationError(
-                f"every state must appear in the schedule; {len(missing)} missing, first {missing[:MISSING_SHOWN]}"
+                f"every state must appear in the schedule; {missing.size} missing, "
+                f"first {missing[:MISSING_SHOWN].tolist()}"
             )
         try:
-            self.period  # an fsum of finite durations is finite or raises OverflowError
+            period = math.fsum(durations)  # an fsum of finite durations is finite or raises OverflowError
         except OverflowError:
             raise ValidationError("schedule period (the sum of the durations) is not finite") from None
+        state_index.setflags(write=False)
+        dwell.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "schedule", tuple(zip(states, durations)))
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "_states", state_index)
+        object.__setattr__(self, "_durations", dwell)
 
     @cached_property
     def _boundaries(self) -> np.ndarray:
         """Cumulative dwell end times, a running sum that may differ from ``period`` in the last bits."""
         with np.errstate(over="ignore"):  # rounding up may take it past a finite period to inf; lookups allow that
-            return np.cumsum([duration for _, duration in self.schedule])
-
-    @cached_property
-    def _states(self) -> np.ndarray:
-        return np.array([state for state, _ in self.schedule], dtype=np.int64)
-
-    @cached_property
-    def period(self) -> float:
-        """The correctly rounded sum of the durations (``math.fsum``)."""
-        return math.fsum(duration for _, duration in self.schedule)
+            return np.cumsum(self._durations)
 
     def state_at(self, t: float) -> int:
         """State occupied at time t (t reduced mod T, dwells half-open [start, end))."""
@@ -252,9 +284,12 @@ def time_average_indicator(c: ClassicalCycle, steps: int) -> np.ndarray:
 
 
 def dwell_fractions(c: ClassicalCycle) -> FractionVector:
-    """Fraction of the period spent in each state, summed over repeat visits."""
-    per_state: list[list[float]] = [[] for _ in range(c.n)]
-    for state, duration in c.schedule:
-        per_state[state - 1].append(duration)
-    totals = [math.fsum(durations) / c.period for durations in per_state]
-    return FractionVector(totals)
+    """Fraction of the period spent in each state, summed over repeat visits.
+
+    Each state's durations are summed by ``math.fsum``, which is correctly
+    rounded whatever the order, so grouping them by a sort changes no bit.
+    """
+    order = np.argsort(c._states, kind="stable")
+    by_state = c._durations[order].tolist()
+    ends = np.searchsorted(c._states[order], np.arange(1, c.n + 1), side="right").tolist()
+    return FractionVector([math.fsum(by_state[a:b]) / c.period for a, b in zip([0] + ends[:-1], ends)])

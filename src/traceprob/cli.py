@@ -18,11 +18,12 @@ import sys
 
 import numpy as np
 
-from .classical import PerceptionSet, classical_density, classical_prob, diag_projector, dwell_fractions
+from .classical import PerceptionSet, classical_density, classical_prob, dwell_fractions
+from .classical import diag_projector  # noqa: F401  (perfbench/tracer.py wraps cli.diag_projector)
 from .errors import TraceProbError, ValidationError, located
 from .matcore import DEFAULT_TOL, trace
 from .measure import measure_of, normalized_prob, total_measure
-from .quantum import DensityMatrix, Projector, RealityMode, trace_prob
+from .quantum import DensityMatrix, RealityMode, trace_prob
 from .sampler import deviation_check, sample_classical, sample_measurement
 from .specfile import SystemSpec, load_system_spec
 from .superselect import dephase, energy_blocks, is_superselection_compliant
@@ -119,7 +120,7 @@ def cmd_classical(spec: SystemSpec, args) -> dict:
     for lp in spec.projectors:
         s = PerceptionSet(lp.chi)
         p_cl = classical_prob(s, f)
-        p_tr = trace_prob(Projector(diag_projector(s), mode=spec.mode, tol=args.tol), rho)
+        p_tr = trace_prob(lp.projector, rho)
         sets.append(
             {
                 "label": lp.label,
@@ -335,9 +336,11 @@ def _attach_tol_values(argv: list[str]) -> list[str]:
     return [f"--tol={next(rest, '')}" if arg == "--tol" else arg for arg in rest]
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_tol_values(sys.argv[1:] if argv is None else argv))
+    args = _PARSER.parse_args(_attach_tol_values(sys.argv[1:] if argv is None else argv))
     mode = RealityMode.REAL if args.real else None
     try:
         if not (math.isfinite(args.tol) and args.tol > 0.0):

@@ -9,9 +9,11 @@ agree.
 
 from __future__ import annotations
 
+import gc
 import json
 import reprlib
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .classical import ClassicalCycle, PerceptionSet, diag_projector
 from .errors import SpecParseError, located
@@ -45,12 +47,16 @@ class SystemSpec:
     dim: int | None
 
 
+def _is_int_type(t: type) -> bool:
+    return issubclass(t, int) and not issubclass(t, bool)
+
+
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return _is_int_type(type(value))
 
 
 def _is_char_vector(value) -> bool:
-    return isinstance(value, list) and len(value) > 0 and all(_is_int(x) for x in value)
+    return isinstance(value, list) and len(value) > 0 and all(map(_is_int_type, set(map(type, value))))
 
 
 def _operator(cls, value, where: str, mode: RealityMode, tol: float):
@@ -62,20 +68,30 @@ def _operator(cls, value, where: str, mode: RealityMode, tol: float):
 
 
 def _parse_cycle(obj) -> ClassicalCycle:
+    """The cycle of a spec file. JSON types are checked on the sets of distinct
+    types and lengths; only on failure is the schedule scanned again, to name
+    the first bad entry. ``ClassicalCycle`` checks the rest."""
     if not isinstance(obj, dict) or set(obj) != {"n", "schedule"}:
         raise SpecParseError('cycle must be an object with keys "n" and "schedule"')
     n, schedule = obj["n"], obj["schedule"]
     if not _is_int(n):
         raise SpecParseError("cycle n must be an integer")
-    if not isinstance(schedule, list) or not all(
-        isinstance(e, list) and len(e) == 2 for e in schedule
+    if not (
+        isinstance(schedule, list)
+        and all(issubclass(t, list) for t in set(map(type, schedule)))
+        and set(map(len, schedule)) <= {2}
     ):
         raise SpecParseError("cycle schedule must be a list of [state, duration] pairs")
-    for i, (state, duration) in enumerate(schedule):
-        if not _is_int(state):
-            raise SpecParseError(f"cycle schedule entry {i}: state must be an integer, got {type(state).__name__}")
-        if not (_is_int(duration) or isinstance(duration, float)):
-            raise SpecParseError(f"cycle schedule entry {i}: duration must be a number, got {type(duration).__name__}")
+    state_types = set(map(type, map(itemgetter(0), schedule)))
+    duration_types = set(map(type, map(itemgetter(1), schedule)))
+    if not (
+        all(map(_is_int_type, state_types)) and all(_is_int_type(t) or issubclass(t, float) for t in duration_types)
+    ):
+        for i, (state, duration) in enumerate(schedule):
+            if not _is_int(state):
+                raise SpecParseError(f"cycle schedule entry {i}: state must be an integer, got {type(state).__name__}")
+            if not (_is_int(duration) or isinstance(duration, float)):
+                raise SpecParseError(f"cycle schedule entry {i}: duration must be a number, got {type(duration).__name__}")
     return ClassicalCycle(n, schedule)
 
 
@@ -88,16 +104,35 @@ def load_system_spec(
 
     `mode_override` forces the reality mode regardless of the file's own
     "reality_mode" key; `tol` is handed to every matrix-class validation.
+
+    The cyclic garbage collector is paused while the file is decoded and its
+    fields are built, and is left as it was found, on a refusal too. The pause
+    is process-wide: it holds for every thread until this returns. A decoded
+    JSON tree holds no reference cycles, so a collection would only walk it;
+    on success the tree is freed before collection resumes.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _spec_from_obj(_decode(path), mode_override, tol)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _decode(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SpecParseError(f"cannot read {path}: {exc}") from exc
     except RecursionError:
         raise SpecParseError(f"{path} nests JSON arrays or objects too deeply") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise SpecParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _spec_from_obj(obj, mode_override: RealityMode | None, tol: float) -> SystemSpec:
     if not isinstance(obj, dict):
         raise SpecParseError("top level of a system file must be a JSON object")
     known = {"cycle", "rho", "hamiltonian", "projectors", "algebra", "reality_mode"}
@@ -139,10 +174,16 @@ def load_system_spec(
     fields = [("rho", rho), ("hamiltonian", hamiltonian)]
     fields += [(f"projector {reprlib.repr(lp.label)}", lp.projector) for lp in projectors]
     fields.append(("algebra", algebra))
-    dims = {"cycle": cycle.n} if cycle is not None else {}
-    dims.update((name, value.dim) for name, value in fields if value is not None)
-    if len(set(dims.values())) > 1:
-        parts = ", ".join(f"{k}={v}" for k, v in dims.items())
+    dims = [("cycle", cycle.n)] if cycle is not None else []
+    dims += [(name, value.dim) for name, value in fields if value is not None]
+    first_field: dict[int, list] = {}  # dimension -> [first field with it, number of fields with it]
+    for name, dim in dims:
+        first_field.setdefault(dim, [name, 0])[1] += 1
+    if len(first_field) > 1:
+        parts = ", ".join(
+            f"{name}={dim}" + (f" (+{count - 1} more)" if count > 1 else "")
+            for dim, (name, count) in first_field.items()
+        )
         raise SpecParseError(f"dimension mismatch across fields: {parts}")
 
     return SystemSpec(
@@ -152,5 +193,5 @@ def load_system_spec(
         projectors=tuple(projectors),
         algebra=algebra,
         mode=mode,
-        dim=next(iter(dims.values()), None),
+        dim=next(iter(first_field), None),
     )

@@ -301,6 +301,24 @@ def test_dwell_fractions_match_riemann_sum():
         np.testing.assert_allclose(avg, dwell_fractions(c).f, atol=1e-5)
 
 
+def test_dwell_fractions_and_period_equal_a_loop_over_the_schedule():
+    # Many repeat visits with durations over twelve decades, where the order
+    # of a plain running sum would show in the last bits.
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        states = rng.permutation(np.concatenate([np.arange(1, n + 1), rng.integers(1, n + 1, 3 * n)])).tolist()
+        entries = [(s, float(d)) for s, d in zip(states, 10.0 ** rng.uniform(-6, 6, len(states)))]
+        c = ClassicalCycle(n, entries)
+        per_state: list[list[float]] = [[] for _ in range(n)]
+        for state, duration in entries:
+            per_state[state - 1].append(duration)
+        period = math.fsum(duration for _, duration in entries)
+        assert c.schedule == tuple(entries)
+        assert c.period == period
+        assert dwell_fractions(c).f == tuple(math.fsum(durations) / period for durations in per_state)
+
+
 # --- fraction vectors ---
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from traceprob import matrix_to_rows
+from traceprob import Projector, cli, matrix_to_rows
 from traceprob.cli import json_text, main
 
 PLUS_ROWS = matrix_to_rows(np.full((2, 2), 0.5))
@@ -621,6 +621,37 @@ def test_invalid_reality_mode_value(tmp_path, capsys):
 def test_refusals_shorten_the_values_they_echo(tmp_path, capsys, obj, message):
     code, out, err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, obj))
     assert (code, out, err) == (1, "", message)
+
+
+def test_many_mismatched_projectors_give_one_short_error_line(tmp_path, capsys):
+    spec = {"rho": PLUS_ROWS, "projectors": {f"p{k}": [1, 0, 0] for k in range(200)}}
+    code, out, err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, spec))
+    assert (code, out) == (1, "")
+    _one_error_line(err, "SpecParse")
+    assert err == "error[SpecParse]: dimension mismatch across fields: rho=2, projector 'p0'=3 (+199 more)\n"
+
+
+def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    def build_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    spec = write_spec(tmp_path, {"cycle": {"n": 1, "schedule": [[1, 1.0]]}})
+    for command in ("check", "sample"):
+        assert run_cli(capsys, command, "--spec", spec)[0] == 0
+
+
+def test_classical_uses_the_projectors_validated_at_load(tmp_path, capsys, monkeypatch):
+    built = []
+    init = Projector.__init__
+    monkeypatch.setattr(Projector, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    spec = write_spec(
+        tmp_path, {"cycle": {"n": 2, "schedule": [[1, 1.0], [2, 3.0]]}, "projectors": {"a": [1, 0], "b": [1, 1]}}
+    )
+    code, out, _ = run_cli(capsys, "classical", "--spec", spec, "--json")
+    assert code == 0
+    assert [s["trace_prob"] for s in json.loads(out)["sets"]] == [0.25, 1.0]
+    assert len(built) == 2
 
 
 def test_quantum_needs_rho_and_projectors(tmp_path, capsys):

@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_hermitian, random_projector
+from helpers import random_cycle, random_hermitian, random_projector, random_subset
 from traceprob import (
     NotHermitianError,
     ValidationError,
     as_matrix,
+    classical_density,
+    diag_projector,
+    dwell_fractions,
     hermitian_eig,
     is_density,
     is_hermitian,
@@ -21,6 +24,8 @@ from traceprob import (
     random_unitary,
     trace,
 )
+from traceprob import matcore
+from traceprob.matcore import hermiticity_defect, idempotency_defect, min_eigenvalue
 
 
 def test_as_matrix_rejects_non_square():
@@ -266,3 +271,87 @@ def test_matrix_from_rows_names_first_bad_entry(rows, message):
     with pytest.raises(ValidationError) as exc:
         matrix_from_rows(rows)
     assert str(exc.value).startswith(message)
+
+
+# --- the diagonal fast path ---
+
+DIAGONALS = {
+    "real": lambda rng, n: np.diag(rng.standard_normal(n)).astype(complex),
+    "char-vector-projector": lambda rng, n: diag_projector(random_subset(rng, n)),
+    "classical-density": lambda rng, n: classical_density(dwell_fractions(random_cycle(rng, n))),
+}
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _dense_hermiticity_defect(m: np.ndarray) -> float:
+    return max_abs(m - m.conj().T)
+
+
+def _dense_idempotency_defect(m: np.ndarray) -> float:
+    return max_abs(m @ m - m)
+
+
+def _dense_min_eigenvalue(m: np.ndarray) -> float:
+    return float(np.min(np.linalg.eigvalsh(m)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 256, 1024])
+@pytest.mark.parametrize("kind", DIAGONALS)
+def test_diagonal_fast_path_is_bit_identical_to_the_dense_path(kind, n):
+    m = DIAGONALS[kind](np.random.default_rng([n, len(kind)]), n)
+    assert matcore._real_diagonal(m) is not None
+    assert _bits(hermiticity_defect(m)) == _bits(_dense_hermiticity_defect(m))
+    assert _bits(idempotency_defect(m)) == _bits(_dense_idempotency_defect(m))
+    assert _bits(min_eigenvalue(m)) == _bits(_dense_min_eigenvalue(m))
+
+
+def _with_entry(m: np.ndarray, i: int, j: int, value: complex) -> np.ndarray:
+    out = m.copy()
+    out[i, j] = value
+    return out
+
+
+REAL_DIAGONAL = np.diag(np.random.default_rng(11).standard_normal(16)).astype(complex)
+DENSE_PATH = {
+    "complex-diagonal": np.diag(np.random.default_rng(12).standard_normal(16) * np.exp(0.3j)),
+    "tiny-imaginary-diagonal-entry": _with_entry(REAL_DIAGONAL, 5, 5, REAL_DIAGONAL[5, 5] + 5e-324j),
+    "tiny-off-diagonal-entry": _with_entry(REAL_DIAGONAL, 0, 15, 5e-324),
+    "tiny-imaginary-off-diagonal-entry": _with_entry(REAL_DIAGONAL, 3, 2, 5e-324j),
+    "complex-1x1": np.array([[0.5 + 0.5j]]),
+}
+
+
+@pytest.mark.parametrize("m", DENSE_PATH.values(), ids=DENSE_PATH.keys())
+def test_complex_or_off_diagonal_entries_take_the_dense_path(monkeypatch, m):
+    assert matcore._real_diagonal(m) is None
+    assert _bits(hermiticity_defect(m)) == _bits(_dense_hermiticity_defect(m))
+    assert _bits(idempotency_defect(m)) == _bits(_dense_idempotency_defect(m))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    assert _bits(min_eigenvalue(m)) == _bits(float(np.min(eigvalsh(m))))
+    assert len(calls) == 1
+
+
+def test_real_diagonals_skip_the_eigensolver(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    assert min_eigenvalue(REAL_DIAGONAL) == float(np.min(REAL_DIAGONAL.real))
+    assert is_density(classical_density(dwell_fractions(random_cycle(np.random.default_rng(13), 32))))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[1.5e154, 0.0], [0.0, 1.0]], dtype=complex),  # real diagonal: the square overflows
+        np.array([[1.0, 1.5e154], [1.5e154, 1.0]], dtype=complex),  # dense: the product overflows
+        np.array([[1.0, 1.7e308], [-1.7e308, 1.0]], dtype=complex),  # a - a^dagger overflows
+    ],
+    ids=["diagonal-square", "dense-product", "adjoint-difference"],
+)
+def test_overflowing_defects_refuse_without_a_warning(m):
+    # The suite turns warnings into errors, so a RuntimeWarning would fail here.
+    assert not is_projector(m)
+    assert not is_density(m)
