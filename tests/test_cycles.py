@@ -157,6 +157,7 @@ DIRECT_REFUSALS = {
     "entry-long": (2, [(1, 1.0, 0.0), (2, 1.0)], PAIR_0),
     "entry-scalar": (2, [(1, 1.0), 2], PAIR_1),
     "entry-none": (2, [None, (2, 1.0)], PAIR_0),
+    "entry-scalar-after-an-iterator": (2, [iter((1, 1.0)), 2], PAIR_1),
     "entry-array-of-three": (1, [np.array([1.0, 1.0, 1.0])], PAIR_0),
     "state-float": (2, [(1, 1.0), (1.5, 1.0)], "state must be an integer, got float"),
     "state-numpy-float": (1, [np.array([1.0, 1.0])], "state must be an integer, got float64"),
