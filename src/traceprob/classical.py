@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
+from .matcore import fsum
 
 FRACTION_SUM_TOL = 1e-9
 MISSING_SHOWN = 10  # missing states named in a refusal
@@ -84,7 +85,7 @@ class ClassicalCycle:
     must be strictly positive, and the period (their sum) must be finite. A
     state may be visited more than once per period; dwell fractions are
     summed over all its visits. ``period`` is the correctly rounded sum of
-    the durations (``math.fsum``).
+    the durations (``matcore.fsum``).
 
     The schedule is converted and checked in one pass of C-level ``map`` and
     numpy calls; only a refused schedule is scanned entry by entry, to name
@@ -128,10 +129,9 @@ class ClassicalCycle:
                 f"every state must appear in the schedule; {missing.size} missing, "
                 f"first {missing[:MISSING_SHOWN].tolist()}"
             )
-        try:
-            period = math.fsum(durations)  # an fsum of finite durations is finite or raises OverflowError
-        except OverflowError:
-            raise ValidationError("schedule period (the sum of the durations) is not finite") from None
+        period = fsum(durations)
+        if period == math.inf:
+            raise ValidationError("schedule period (the sum of the durations) is not finite")
         state_index.setflags(write=False)
         dwell.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -171,15 +171,6 @@ class PerceptionSet:
             raise ValidationError("characteristic vector entries must be exactly 0 or 1")
         object.__setattr__(self, "chi", tuple(int(c) for c in values))
 
-    @classmethod
-    def from_members(cls, n: int, members: Iterable[int]) -> "PerceptionSet":
-        """Build from 1-based member indices."""
-        n = _integer(n, "set size n")
-        member_set = set(_integer(i, "member") for i in members)
-        if any(not 1 <= i <= n for i in member_set):
-            raise ValidationError(f"members must lie in 1..{n}")
-        return cls(tuple(1 if i in member_set else 0 for i in range(1, n + 1)))
-
     @property
     def n(self) -> int:
         return len(self.chi)
@@ -194,8 +185,7 @@ class PerceptionSet:
 class FractionVector:
     """Nonnegative probability weights summing to 1 (within 1e-9).
 
-    Construction rejects unnormalized input rather than silently fixing it;
-    use :meth:`normalized` to renormalize explicitly.
+    Construction rejects unnormalized input rather than silently fixing it.
     """
 
     f: tuple[float, ...]
@@ -206,21 +196,10 @@ class FractionVector:
             raise ValidationError("fraction vector must have dimension >= 1")
         if any(not (math.isfinite(x) and x >= 0.0) for x in values):
             raise ValidationError("fractions must be finite and >= 0")
-        total = math.fsum(values)
+        total = fsum(values)
         if abs(total - 1.0) > FRACTION_SUM_TOL:
             raise ValidationError(f"fractions must sum to 1 within {FRACTION_SUM_TOL}; got {total!r}")
         object.__setattr__(self, "f", values)
-
-    @classmethod
-    def normalized(cls, values: Iterable[float]) -> "FractionVector":
-        """Divide nonnegative weights by their sum."""
-        raw = [_real(x, "weight") for x in values]
-        if any(not (math.isfinite(x) and x >= 0.0) for x in raw):
-            raise ValidationError("weights must be finite and >= 0")
-        total = math.fsum(raw)
-        if total <= 0.0:
-            raise ValidationError("cannot normalize weights with zero sum")
-        return cls(x / total for x in raw)
 
     @property
     def n(self) -> int:

@@ -24,11 +24,9 @@ from .errors import TraceProbError, ValidationError, located
 from .matcore import DEFAULT_TOL, trace
 from .measure import measure_of, normalized_prob, total_measure
 from .quantum import DensityMatrix, RealityMode, trace_prob
-from .sampler import deviation_check, sample_classical, sample_measurement
+from .sampler import deviation_check, partition_refusal, sample_classical, sample_measurement
 from .specfile import SystemSpec, load_system_spec
 from .superselect import dephase, energy_blocks, is_superselection_compliant
-
-SIGMA_MULTIPLIER = 5.0
 
 
 def _fmt(x: float) -> str:
@@ -93,17 +91,41 @@ def json_text(payload: dict) -> str:
     return "{\n  " + ",\n  ".join(items) + "\n}"
 
 
-def _require(spec: SystemSpec, command: str, **fields):
-    missing = [name for name, value in fields.items() if value is None or value == ()]
-    if missing:
-        raise ValidationError(f"{command} needs {', '.join(missing)} in the system file")
+# The spec fields each subcommand reads, as alternatives: it runs when every
+# field of one alternative is present, and refuses with a "needs" line
+# otherwise. ``check`` runs the subcommands that apply, in this order.
+_READS = {
+    "classical": (("cycle", "projectors"),),
+    "quantum": (("rho", "projectors"),),
+    "dephase": (("rho", "hamiltonian"),),
+    "measure": (("algebra", "rho"),),
+    "sample": (("cycle",), ("projectors", "rho")),
+}
+SAMPLE_N, SAMPLE_SEED = 100000, 0  # sample's --n and --seed defaults, at which check runs it
 
 
-def _require_char_vectors(spec: SystemSpec):
-    for lp in spec.projectors:
-        if lp.chi is None:
-            with located(f"projector {reprlib.repr(lp.label)}"):
-                raise ValidationError("must be a characteristic vector for the classical command")
+def _lacks(spec: SystemSpec, command: str) -> ValidationError | None:
+    """The refusal of ``command`` when ``spec`` lacks a field of each of its alternatives, else None."""
+    alternatives = _READS.get(command, ((),))
+    missing = [[name for name in alt if getattr(spec, name) in (None, ())] for alt in alternatives]
+    if not all(missing):
+        return None
+    if len(alternatives) == 1:
+        wanted = ", ".join(missing[0])
+    else:  # "a cycle, or projectors plus rho,"
+        wanted = "a " + ", or ".join(" plus ".join(alt) for alt in alternatives) + ","
+    return ValidationError(f"{command} needs {wanted} in the system file")
+
+
+def _applies(spec: SystemSpec, command: str) -> bool:
+    """Whether ``check`` runs ``command``: the spec has its fields, and, for
+    ``sample`` without a cycle, the sampler's own test finds the projectors a
+    partition. Other projector sets are ``quantum`` input only."""
+    if _lacks(spec, command) is not None:
+        return False
+    if command != "sample" or spec.cycle is not None:
+        return True
+    return partition_refusal([lp.projector for lp in spec.projectors], spec.rho.dim) is None
 
 
 # Each cmd_* returns the payload that --json writes; matrices in it are the
@@ -112,8 +134,10 @@ def _require_char_vectors(spec: SystemSpec):
 
 
 def cmd_classical(spec: SystemSpec, args) -> dict:
-    _require(spec, "classical", cycle=spec.cycle, projectors=spec.projectors)
-    _require_char_vectors(spec)
+    for lp in spec.projectors:
+        if lp.chi is None:
+            with located(f"projector {reprlib.repr(lp.label)}"):
+                raise ValidationError("must be a characteristic vector for the classical command")
     f = dwell_fractions(spec.cycle)
     rho = DensityMatrix(classical_density(f), mode=spec.mode, tol=args.tol)
     sets = []
@@ -150,7 +174,6 @@ def render_classical(spec: SystemSpec, payload: dict) -> str:
 
 
 def cmd_quantum(spec: SystemSpec, args) -> dict:
-    _require(spec, "quantum", rho=spec.rho, projectors=spec.projectors)
     have_h = spec.hamiltonian is not None
     rho_deph = dephase(spec.rho, spec.hamiltonian) if have_h else None
     entries = []
@@ -179,7 +202,6 @@ def render_quantum(spec: SystemSpec, payload: dict) -> str:
 
 
 def cmd_dephase(spec: SystemSpec, args) -> dict:
-    _require(spec, "dephase", rho=spec.rho, hamiltonian=spec.hamiltonian)
     blocks = energy_blocks(spec.hamiltonian)
     rho_deph = dephase(spec.rho, spec.hamiltonian)
     return {
@@ -203,7 +225,6 @@ def render_dephase(spec: SystemSpec, payload: dict) -> str:
 
 
 def cmd_measure(spec: SystemSpec, args) -> dict:
-    _require(spec, "measure", algebra=spec.algebra, rho=spec.rho)
     alg, rho = spec.algebra, spec.rho
     total = total_measure(alg, rho)
     atoms = [
@@ -223,7 +244,7 @@ def render_measure(spec: SystemSpec, payload: dict) -> str:
 def cmd_sample(spec: SystemSpec, args) -> dict:
     if spec.cycle is not None:
         report = sample_classical(spec.cycle, args.n, args.seed)
-    elif spec.rho is not None and spec.projectors:
+    else:
         report = sample_measurement(
             [lp.projector for lp in spec.projectors],
             spec.rho,
@@ -231,10 +252,8 @@ def cmd_sample(spec: SystemSpec, args) -> dict:
             args.seed,
             labels=[lp.label for lp in spec.projectors],
         )
-    else:
-        raise ValidationError("sample needs a cycle, or projectors plus rho, in the system file")
     payload = report.to_obj()
-    payload["deviation_check_5sigma"] = deviation_check(report, SIGMA_MULTIPLIER)
+    payload["deviation_check_5sigma"] = deviation_check(report)
     return payload
 
 
@@ -251,10 +270,15 @@ def render_sample(spec: SystemSpec, payload: dict) -> str:
 
 
 def cmd_check(spec: SystemSpec, args) -> dict:
+    """Run every subcommand that applies to the spec, ``sample`` at its
+    defaults, and drop their payloads; the first refusal names its subcommand."""
+    run_args = argparse.Namespace(**vars(args), n=SAMPLE_N, seed=SAMPLE_SEED)
+    for command in _READS:
+        if _applies(spec, command):
+            with located(command):
+                _COMMANDS[command](spec, run_args)
     names = ("cycle", "rho", "hamiltonian", "projectors", "algebra")
     fields = [name for name in names if getattr(spec, name) not in (None, ())]
-    if spec.cycle is not None and spec.projectors:
-        _require_char_vectors(spec)
     return {"ok": True, "fields": fields, "dim": spec.dim, "reality_mode": spec.mode.value}
 
 
@@ -315,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
         "dephase": "energy blocks and the time-averaged density matrix",
         "measure": "positive-operator measures, total, and normalized probabilities",
         "sample": "Monte Carlo sampling with a 5-sigma deviation check",
-        "check": "run all validations on a system file",
+        "check": "validate a system file by running every subcommand that applies to it",
     }
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=helps[name])
         if name == "sample":
-            p.add_argument("--n", type=int, default=100000, help="number of samples")
-            p.add_argument("--seed", type=int, default=0, help="generator seed")
+            p.add_argument("--n", type=int, default=SAMPLE_N, help="number of samples")
+            p.add_argument("--seed", type=int, default=SAMPLE_SEED, help="generator seed")
     return parser
 
 
@@ -346,6 +370,9 @@ def main(argv=None) -> int:
         if not (math.isfinite(args.tol) and args.tol > 0.0):
             raise ValidationError(f"--tol must be finite and > 0, got {args.tol!r}")
         spec = load_system_spec(args.spec, mode_override=mode, tol=args.tol)
+        refusal = _lacks(spec, args.command)
+        if refusal is not None:
+            raise refusal
         payload = _COMMANDS[args.command](spec, args)
         output = (json_text(payload) if args.json else _RENDERERS[args.command](spec, payload)) + "\n"
     except TraceProbError as exc:

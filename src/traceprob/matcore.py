@@ -58,10 +58,22 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(np.asarray(a))))
 
 
+def fsum(values) -> float:
+    """``math.fsum`` of a sized collection of finite floats, with a sum beyond
+    the float range read as +-inf: where a partial sum overflows, the values
+    are summed again scaled by 2**-k, k the bit length of their count (exact
+    but for values near the subnormal range), and the sum is scaled back."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        k = len(values).bit_length()
+        return math.fsum(math.ldexp(v, -k) for v in values) * 2.0**k
+
+
 def trace(a) -> complex:
-    """Sum of the diagonal, correctly rounded (``math.fsum`` per component)."""
+    """Sum of the diagonal, correctly rounded (:func:`fsum` per component)."""
     diag = np.diagonal(_admit(a))
-    return complex(math.fsum(diag.real), math.fsum(diag.imag))
+    return complex(fsum(diag.real), fsum(diag.imag))
 
 
 def relative_bound(mat: np.ndarray, tol: float) -> float:
@@ -173,33 +185,6 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     phases = pivots / np.abs(pivots)
     vectors = vectors * phases.conj()[np.newaxis, :]
     return EigenDecomposition(values.astype(float), vectors.astype(complex))
-
-
-def random_unitary(dim: int, seed: int) -> np.ndarray:
-    """Seeded Haar-distributed unitary (QR of a complex Ginibre matrix).
-
-    Deterministic for a fixed seed (PCG64 stream); the R-diagonal phase fix
-    makes the distribution unitarily invariant.
-    """
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[np.newaxis, :]
-
-
-def random_orthogonal(dim: int, seed: int) -> np.ndarray:
-    """Seeded random real orthogonal matrix, the REAL-mode counterpart of
-    :func:`random_unitary` (basis changes in real quantum mechanics)."""
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-    return (q * signs[np.newaxis, :]).astype(complex)
 
 
 def matrix_to_rows(a) -> list:

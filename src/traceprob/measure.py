@@ -29,7 +29,7 @@ from .errors import (
     ZeroTotalMeasureError,
     located,
 )
-from .matcore import DEFAULT_TOL, is_hermitian, matrix_from_rows, matrix_to_rows, min_eigenvalue
+from .matcore import DEFAULT_TOL, fsum, is_hermitian, matrix_from_rows, min_eigenvalue
 from .quantum import PROB_SLACK, DensityMatrix, Operator, RealityMode, Sealed, bounded, enforce_reality
 
 ZERO_MEASURE_TOL = 1e-12
@@ -121,21 +121,13 @@ class PerceptionAlgebra(Sealed):
         e = {label: float(np.dot(op.mat.ravel(), rho_t).real) for label, op in self._atoms.items()}
         if not all(math.isfinite(x) for x in e.values()):
             raise NonFiniteError("an atom expectation is not finite")
-        total = _fsum(e.values())
+        total = fsum(e.values())
         # One tuple assignment, so a concurrent reader sees either slot whole.
         object.__setattr__(self, "_memo", (rho, e, total))
         return e, total
 
     def __repr__(self) -> str:
         return f"PerceptionAlgebra(atoms={list(self._labels)!r})"
-
-
-def _fsum(values: Iterable[float]) -> float:
-    """math.fsum of finite values, reading a sum beyond the float range as inf."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return math.inf
 
 
 def _resolve_labels(alg: PerceptionAlgebra, s: Iterable[str]) -> set[str]:
@@ -166,7 +158,7 @@ def measure_of(alg: PerceptionAlgebra, s: Iterable[str], rho: DensityMatrix) -> 
     re-validated.
     """
     e, _ = alg._expectations(rho)
-    return bounded(_fsum(e[label] for label in _resolve_labels(alg, s)), "measure", MEASURE_SLACK)
+    return bounded(fsum([e[label] for label in _resolve_labels(alg, s)]), "measure", MEASURE_SLACK)
 
 
 def total_measure(alg: PerceptionAlgebra, rho: DensityMatrix) -> float:
@@ -197,19 +189,10 @@ def conditional_prob(
     return bounded(measure_of(alg, s_labels, rho) / denom, "conditional probability", PROB_SLACK, 1.0)
 
 
-def algebra_to_obj(alg: PerceptionAlgebra) -> dict:
-    """JSON-ready form: {"atoms": [{"label": ..., "operator": rows}, ...]}."""
-    return {
-        "atoms": [
-            {"label": label, "operator": matrix_to_rows(alg.atom(label).mat)} for label in alg.labels
-        ]
-    }
-
-
 def algebra_from_obj(
     obj: Mapping, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL
 ) -> PerceptionAlgebra:
-    """Parse the JSON form produced by :func:`algebra_to_obj`.
+    """Parse the JSON form of an algebra: ``{"atoms": [{"label": ..., "operator": rows}, ...]}``.
 
     The form is strict: one key "atoms", a nonempty array of objects with
     exactly the keys "label" (a string) and "operator" (rows). A break of the

@@ -179,7 +179,3 @@ def projector_meet(p: Projector, q: Projector) -> Projector:
         raise NonCommutingError("projectors do not commute; their product is not a projection operator")
     return Projector(p.mat @ q.mat)
 
-
-def is_pure(rho: DensityMatrix) -> bool:
-    """Diagnostic purity check: tr(rho^2) = sum_ij rho_ij rho_ji, one O(n^2) dot, within 1e-9 of 1."""
-    return abs(np.dot(rho.mat.ravel(), rho.mat.T.ravel()).real - 1.0) <= PROB_SLACK

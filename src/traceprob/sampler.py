@@ -21,6 +21,7 @@ from .matcore import max_abs
 from .quantum import DensityMatrix, Projector, trace_prob
 
 PARTITION_TOL = 1e-9
+SIGMA_MULTIPLIER = 5.0
 MAX_SAMPLES = 2**63 - 1  # numpy's multinomial counts are int64
 
 
@@ -90,6 +91,23 @@ def sample_classical(c: ClassicalCycle, n_samples: int, seed: int) -> SampleRepo
     return _build_report(labels, counts, n_samples, fractions, seed)
 
 
+def partition_refusal(partition: Sequence[Projector], dim: int) -> NotAPartitionError | None:
+    """Why ``partition`` is not a projective partition of the identity of
+    dimension ``dim``, or None when it is: the projectors must sum to the
+    identity and be pairwise orthogonal, both to 1e-9 in max-norm."""
+    if not partition:
+        return NotAPartitionError("partition must contain at least one projector")
+    if any(p.dim != dim for p in partition):
+        return NotAPartitionError("all projectors must match the density matrix dimension")
+    if max_abs(sum(p.mat for p in partition) - np.eye(dim)) > PARTITION_TOL:
+        return NotAPartitionError("projectors do not sum to the identity within 1e-9")
+    for i in range(len(partition)):
+        for j in range(i + 1, len(partition)):
+            if max_abs(partition[i].mat @ partition[j].mat) > PARTITION_TOL:
+                return NotAPartitionError(f"projectors {i} and {j} are not orthogonal within 1e-9")
+    return None
+
+
 def sample_measurement(
     partition: Sequence[Projector],
     rho: DensityMatrix,
@@ -99,24 +117,14 @@ def sample_measurement(
 ) -> SampleReport:
     """Draw outcomes of a projective partition with trace-rule weights.
 
-    The projectors must sum to the identity and be pairwise orthogonal
-    (both to 1e-9 in max-norm); their trace probabilities, normalized, are
-    then the multinomial weights of the counts. Weight sums off 1 by more
-    than 1e-9 are refused.
+    The projectors must pass :func:`partition_refusal`; their trace
+    probabilities, normalized, are then the multinomial weights of the
+    counts. Weight sums off 1 by more than 1e-9 are refused.
     """
     n_samples, seed = _check_draw_args(n_samples, seed)
-    if not partition:
-        raise NotAPartitionError("partition must contain at least one projector")
-    dim = rho.dim
-    if any(p.dim != dim for p in partition):
-        raise NotAPartitionError("all projectors must match the density matrix dimension")
-    total_op = sum(p.mat for p in partition)
-    if max_abs(total_op - np.eye(dim)) > PARTITION_TOL:
-        raise NotAPartitionError("projectors do not sum to the identity within 1e-9")
-    for i in range(len(partition)):
-        for j in range(i + 1, len(partition)):
-            if max_abs(partition[i].mat @ partition[j].mat) > PARTITION_TOL:
-                raise NotAPartitionError(f"projectors {i} and {j} are not orthogonal within 1e-9")
+    refusal = partition_refusal(partition, rho.dim)
+    if refusal is not None:
+        raise refusal
 
     weights = np.array([trace_prob(p, rho) for p in partition])
     weight_sum = math.fsum(weights)
@@ -132,17 +140,15 @@ def sample_measurement(
     return _build_report(list(labels), counts, n_samples, weights, seed)
 
 
-def deviation_check(report: SampleReport, sigma_multiplier: float) -> bool:
+def deviation_check(report: SampleReport) -> bool:
     """Whether every outcome sits within its binomial deviation bound.
 
-    The bound per outcome is sigma_multiplier * sqrt(p(1-p)/N) + 1/N, the
+    The bound per outcome is SIGMA_MULTIPLIER * sqrt(p(1-p)/N) + 1/N, the
     extra 1/N covering the granularity of empirical frequencies.
     """
-    if sigma_multiplier <= 0.0:
-        raise ValidationError("sigma_multiplier must be > 0")
     n = report.total
     for freq, p in zip(report.empirical_freqs, report.expected_probs):
-        bound = sigma_multiplier * math.sqrt(p * (1.0 - p) / n) + 1.0 / n
+        bound = SIGMA_MULTIPLIER * math.sqrt(p * (1.0 - p) / n) + 1.0 / n
         if abs(freq - p) > bound:
             return False
     return True

@@ -13,6 +13,7 @@ import gc
 import json
 import reprlib
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 
 from .classical import ClassicalCycle, PerceptionSet, diag_projector
@@ -21,6 +22,8 @@ from .matcore import DEFAULT_TOL, matrix_from_rows
 from .measure import PerceptionAlgebra, algebra_from_obj
 from .quantum import DensityMatrix, Projector, RealityMode
 from .superselect import Hamiltonian
+
+DIMS_SHOWN = 3  # distinct dimensions named in a mismatch refusal
 
 
 @dataclass(frozen=True)
@@ -180,11 +183,13 @@ def _spec_from_obj(obj, mode_override: RealityMode | None, tol: float) -> System
     for name, dim in dims:
         first_field.setdefault(dim, [name, 0])[1] += 1
     if len(first_field) > 1:
-        parts = ", ".join(
+        parts = [
             f"{name}={dim}" + (f" (+{count - 1} more)" if count > 1 else "")
-            for dim, (name, count) in first_field.items()
-        )
-        raise SpecParseError(f"dimension mismatch across fields: {parts}")
+            for dim, (name, count) in islice(first_field.items(), DIMS_SHOWN)
+        ]
+        if len(first_field) > DIMS_SHOWN:
+            parts.append(f"and {len(first_field) - DIMS_SHOWN} more dimensions")
+        raise SpecParseError(f"dimension mismatch across fields: {', '.join(parts)}")
 
     return SystemSpec(
         cycle=cycle,

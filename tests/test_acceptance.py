@@ -237,7 +237,7 @@ def _check_sampling(mode: RealityMode) -> tuple[bool, str]:
         rng = np.random.default_rng(9700 + i)
         cycle = random_cycle(rng, int(rng.integers(1, 9)))
         report = sample_classical(cycle, 1_000_000, seed=9700 + i)
-        if not deviation_check(report, 5.0):
+        if not deviation_check(report):
             return False, f"classical case {i} outside the 5-sigma bound"
         again = sample_classical(cycle, 1_000_000, seed=9700 + i)
         if json.dumps(report.to_obj()) != json.dumps(again.to_obj()):
@@ -249,7 +249,7 @@ def _check_sampling(mode: RealityMode) -> tuple[bool, str]:
         parts = random_partition(rng, n, int(rng.integers(2, n + 1)), mode)
         rho = random_density(rng, n, mode)
         report = sample_measurement(parts, rho, 1_000_000, seed=9750 + i)
-        if not deviation_check(report, 5.0):
+        if not deviation_check(report):
             return False, f"measurement case {i} outside the 5-sigma bound"
         again = sample_measurement(parts, rho, 1_000_000, seed=9750 + i)
         if json.dumps(report.to_obj()) != json.dumps(again.to_obj()):

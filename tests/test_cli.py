@@ -240,8 +240,13 @@ def test_algebra_defects_name_the_atom(tmp_path, capsys, command, algebra, categ
             "Validation",
             "projector 'a': characteristic vector entries must be exactly 0 or 1",
         ),
+        (
+            {"rho": matrix_to_rows(np.diag([1e308, 1e308]))},
+            "Validation",
+            "rho: matrix is not a density matrix (PSD Hermitian, unit trace) within tolerance",
+        ),
     ],
-    ids=["rho-not-density", "hamiltonian-not-hermitian", "projector-not-projector", "bad-char-vector"],
+    ids=["rho-not-density", "hamiltonian-not-hermitian", "projector-not-projector", "bad-char-vector", "rho-trace-overflows"],
 )
 @pytest.mark.parametrize("command", ["quantum", "check"])
 def test_operator_defects_name_the_field(tmp_path, capsys, command, field, category, message):
@@ -319,13 +324,14 @@ def mutated_specs(draw):
     return _mutate(draw, GOLDEN_SPECS[draw(st.sampled_from(sorted(GOLDEN_SPECS)))], 8)
 
 
-def _answer_or_one_error_line(spec_obj, tmp_path_factory, commands, modes=((),)) -> None:
+def _answer_or_one_error_line(spec_obj, tmp_path_factory, commands, modes=((),)) -> dict:
     """Run each command in-process once per output mode (extra arguments): exit
     0 with output and a silent stderr, or exit 1 with no output and one
     ``error[...]`` line of at most 300 characters. The exit code and stderr
-    must be the same in every mode."""
+    must be the same in every mode; they are returned by command."""
     spec = tmp_path_factory.mktemp("spec") / "system.json"
     spec.write_text(json.dumps(spec_obj), encoding="utf-8")
+    results = {}
     for command in commands:
         outcomes = set()
         for extra in modes:
@@ -342,6 +348,21 @@ def _answer_or_one_error_line(spec_obj, tmp_path_factory, commands, modes=((),))
                 assert len(text) <= 300, text
             outcomes.add((code, err.getvalue()))
         assert len(outcomes) == 1, (command, outcomes)
+        results[command] = outcomes.pop()
+    return results
+
+
+def _check_vouches_for_the_others(results: dict) -> None:
+    """When ``check`` exits 0, every other subcommand exits 0, refuses for want
+    of its fields, or is ``sample`` refusing projectors that are not a partition."""
+    if results["check"][0] != 0:
+        return
+    for command, (code, err) in results.items():
+        assert (
+            code == 0
+            or err.startswith(f"error[Validation]: {command} needs ")
+            or (command == "sample" and err.startswith("error[NotAPartition]: projectors "))
+        ), (command, err)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -357,14 +378,16 @@ BOTH_MODES = ((), ("--json",))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(spec=mutated_specs())
 def test_mutated_spec_gives_an_answer_or_one_error_line(tmp_path_factory, spec):
-    _answer_or_one_error_line(spec, tmp_path_factory, ALL_COMMANDS, modes=BOTH_MODES)
+    _check_vouches_for_the_others(_answer_or_one_error_line(spec, tmp_path_factory, ALL_COMMANDS, modes=BOTH_MODES))
 
 
 @pytest.mark.parametrize("stem", sorted(GOLDEN_SPECS))
 def test_golden_spec_gets_the_same_exit_and_stderr_in_both_modes(tmp_path_factory, stem):
     # Mutations mostly break a spec at load time; the intact specs reach every
     # command's renderer, and the refusals that come after loading.
-    _answer_or_one_error_line(GOLDEN_SPECS[stem], tmp_path_factory, ALL_COMMANDS, modes=BOTH_MODES)
+    _check_vouches_for_the_others(
+        _answer_or_one_error_line(GOLDEN_SPECS[stem], tmp_path_factory, ALL_COMMANDS, modes=BOTH_MODES)
+    )
 
 
 # --- the --json writer ---
@@ -479,10 +502,35 @@ def test_cycle_with_matrix_projector_is_refused(tmp_path, capsys, command):
         tmp_path, {"cycle": {"n": 2, "schedule": [[1, 1.0], [2, 1.0]]}, "projectors": {"a": PLUS_ROWS}}
     )
     code, out, err = run_cli(capsys, command, "--spec", spec)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error[Validation]: projector 'a': must be a characteristic vector for the classical command")
-    assert err.count("\n") == 1
+    where = "classical: " if command == "check" else ""
+    assert (code, out) == (1, "")
+    assert err == f"error[Validation]: {where}projector 'a': must be a characteristic vector for the classical command\n"
+
+
+HALF_ROWS = matrix_to_rows(np.eye(2) / 2)
+HUGE_ROWS = matrix_to_rows(np.diag([1e308, 1e308]))
+
+
+@pytest.mark.parametrize(
+    "obj, code, err",
+    [
+        (
+            {"rho": DIAG_10_ROWS, "algebra": {"atoms": [{"label": "a", "operator": H_01_ROWS}]}},
+            1,
+            "error[ZeroTotalMeasure]: measure: total measure 0.0 <= 1e-12; cannot normalize\n",
+        ),
+        (
+            {"rho": HALF_ROWS, "algebra": {"atoms": [{"label": a, "operator": HUGE_ROWS} for a in "ab"]}},
+            1,
+            "error[NonFinite]: measure: measure inf is not finite\n",
+        ),
+        ({"rho": HALF_ROWS, "projectors": {"a": [1, 0]}}, 0, ""),  # not a partition, so no sample
+    ],
+    ids=["zero-total-measure", "total-measure-overflows", "projectors-not-a-partition"],
+)
+def test_check_runs_the_subcommands_that_apply(tmp_path, capsys, obj, code, err):
+    got_code, _, got_err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, obj))
+    assert (got_code, got_err) == (code, err)
 
 
 def test_check_json_without_dimension(tmp_path, capsys):
@@ -594,7 +642,7 @@ def test_invalid_reality_mode_value(tmp_path, capsys):
         ),
         (
             {"cycle": {"n": 2, "schedule": [[1, 1.0], [2, 1.0]]}, "projectors": {"v" * 1000: PLUS_ROWS}},
-            f"error[Validation]: projector '{'v' * 12}...{'v' * 13}': "
+            f"error[Validation]: classical: projector '{'v' * 12}...{'v' * 13}': "
             "must be a characteristic vector for the classical command\n",
         ),
         (
@@ -624,11 +672,20 @@ def test_refusals_shorten_the_values_they_echo(tmp_path, capsys, obj, message):
 
 
 def test_many_mismatched_projectors_give_one_short_error_line(tmp_path, capsys):
-    spec = {"rho": PLUS_ROWS, "projectors": {f"p{k}": [1, 0, 0] for k in range(200)}}
-    code, out, err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, spec))
-    assert (code, out) == (1, "")
-    _one_error_line(err, "SpecParse")
-    assert err == "error[SpecParse]: dimension mismatch across fields: rho=2, projector 'p0'=3 (+199 more)\n"
+    # 200 projectors of one wrong dimension, then of 200 distinct ones
+    cases = [
+        ({f"p{k}": [1, 0, 0] for k in range(200)}, "rho=2, projector 'p0'=3 (+199 more)"),
+        (
+            {f"p{k}": [1] + [0] * (k + 2) for k in range(200)},
+            "rho=2, projector 'p0'=3, projector 'p1'=4, and 198 more dimensions",
+        ),
+    ]
+    for projectors, message in cases:
+        spec = {"rho": PLUS_ROWS, "projectors": projectors}
+        code, out, err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, spec))
+        assert (code, out) == (1, "")
+        _one_error_line(err, "SpecParse")
+        assert err == f"error[SpecParse]: dimension mismatch across fields: {message}\n"
 
 
 def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):

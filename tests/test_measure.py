@@ -26,9 +26,7 @@ from traceprob import (
     ZeroConditionMeasureError,
     ZeroTotalMeasureError,
     algebra_from_obj,
-    algebra_to_obj,
     conditional_prob,
-    max_abs,
     measure_of,
     normalized_prob,
     total_measure,
@@ -353,15 +351,6 @@ def test_conditional_prob_zero_condition():
 
 
 # --- serialization ---
-
-
-def test_algebra_json_round_trip():
-    rng = np.random.default_rng(74)
-    alg = random_algebra(rng, 3, 4)
-    rebuilt = algebra_from_obj(algebra_to_obj(alg))
-    assert rebuilt.labels == alg.labels
-    for label in alg.labels:
-        assert max_abs(rebuilt.atom(label).mat - alg.atom(label).mat) == 0.0
 
 
 def test_algebra_from_obj_rejects_malformed():
