@@ -175,11 +175,6 @@ class PerceptionSet:
     def n(self) -> int:
         return len(self.chi)
 
-    @property
-    def members(self) -> tuple[int, ...]:
-        """1-based indices of the labels in the set."""
-        return tuple(i + 1 for i, c in enumerate(self.chi) if c == 1)
-
 
 @dataclass(frozen=True)
 class FractionVector:
@@ -217,12 +212,6 @@ def char_and(s: PerceptionSet, s2: PerceptionSet) -> PerceptionSet:
     return PerceptionSet(a * b for a, b in zip(s.chi, s2.chi))
 
 
-def char_or(s: PerceptionSet, s2: PerceptionSet) -> PerceptionSet:
-    """Union: chi + chi' - chi*chi' componentwise."""
-    _check_same_dim(s.n, s2.n)
-    return PerceptionSet(a + b - a * b for a, b in zip(s.chi, s2.chi))
-
-
 def classical_prob(s: PerceptionSet, f: FractionVector) -> float:
     """Probability of the set: sum of the fractions of its members."""
     _check_same_dim(s.n, f.n)
@@ -239,21 +228,13 @@ def classical_density(f: FractionVector) -> np.ndarray:
     return np.diag(np.array(f.f, dtype=complex))
 
 
-def indicator_matrix(c: ClassicalCycle, t: float) -> np.ndarray:
-    """Diagonal matrix with a single 1 marking the state occupied at time t."""
-    out = np.zeros((c.n, c.n), dtype=complex)
-    state = c.state_at(float(t))
-    out[state - 1, state - 1] = 1.0
-    return out
-
-
 def time_average_indicator(c: ClassicalCycle, steps: int) -> np.ndarray:
-    """Midpoint Riemann average of the indicator matrix over one period.
+    """Midpoint Riemann average over one period of the indicator of the state at t (``state_at``).
 
     Converges to ``classical_density(dwell_fractions(c))`` with max-entry
     error O(1/steps).
     """
-    steps = int(steps)
+    steps = _integer(steps, "steps")
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     midpoints = (np.arange(steps, dtype=float) + 0.5) * (c.period / steps)

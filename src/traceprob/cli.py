@@ -71,7 +71,7 @@ def _matrix_json(a: np.ndarray) -> str:
 
 def json_text(payload: dict) -> str:
     """``json.dumps(p, indent=2)`` byte for byte, where ``p`` is ``payload``
-    with each ndarray value replaced by its ``matrix_to_rows`` form.
+    with each ndarray value replaced by its spec-file form (rows of ``[re, im]`` pairs).
 
     ``payload`` is a nonempty dict; an ndarray may appear only as a top-level
     value, and is always the ``.mat`` of an admitted operator (complex, n×n,

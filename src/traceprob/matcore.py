@@ -187,12 +187,6 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     return EigenDecomposition(values.astype(float), vectors.astype(complex))
 
 
-def matrix_to_rows(a) -> list:
-    """Serialize to the repo-wide JSON form: rows of ``[re, im]`` pairs."""
-    mat = as_matrix(a)
-    return np.stack([mat.real, mat.imag], -1).tolist()
-
-
 def _is_number_type(t: type) -> bool:
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 

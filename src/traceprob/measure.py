@@ -13,8 +13,7 @@ and ratios of sub-measures give conditional probabilities.
 from __future__ import annotations
 
 import math
-import reprlib
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,14 +21,13 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteError,
     NotSubsetError,
-    SpecParseError,
     UnknownLabelError,
     ValidationError,
     ZeroConditionMeasureError,
     ZeroTotalMeasureError,
-    located,
 )
-from .matcore import DEFAULT_TOL, fsum, is_hermitian, matrix_from_rows, min_eigenvalue
+from .matcore import DEFAULT_TOL, fsum, is_hermitian, min_eigenvalue
+from .matcore import matrix_from_rows  # noqa: F401  (perfbench/tracer.py wraps measure.matrix_from_rows)
 from .quantum import PROB_SLACK, DensityMatrix, Operator, RealityMode, Sealed, bounded, enforce_reality
 
 ZERO_MEASURE_TOL = 1e-12
@@ -66,7 +64,7 @@ class PerceptionAlgebra(Sealed):
     alternating between states recomputes the vector on every switch.
     """
 
-    __slots__ = ("_labels", "_atoms", "_memo")
+    __slots__ = ("_atoms", "_memo")
 
     def __init__(self, atoms: Sequence[tuple[str, PovOperator]]):
         table = {}
@@ -82,7 +80,6 @@ class PerceptionAlgebra(Sealed):
         dims = {op.dim for op in table.values()}
         if len(dims) != 1:
             raise DimensionMismatchError(f"atom operators have mixed dims {sorted(dims)}")
-        object.__setattr__(self, "_labels", tuple(table))
         object.__setattr__(self, "_atoms", table)
         object.__setattr__(self, "_memo", None)
 
@@ -98,11 +95,11 @@ class PerceptionAlgebra(Sealed):
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return self._labels
+        return tuple(self._atoms)
 
     @property
     def dim(self) -> int:
-        return self._atoms[self._labels[0]].dim
+        return next(iter(self._atoms.values())).dim
 
     def atom(self, label: str) -> PovOperator:
         try:
@@ -127,7 +124,7 @@ class PerceptionAlgebra(Sealed):
         return e, total
 
     def __repr__(self) -> str:
-        return f"PerceptionAlgebra(atoms={list(self._labels)!r})"
+        return f"PerceptionAlgebra(atoms={list(self._atoms)!r})"
 
 
 def _resolve_labels(alg: PerceptionAlgebra, s: Iterable[str]) -> set[str]:
@@ -187,39 +184,3 @@ def conditional_prob(
     if denom <= ZERO_MEASURE_TOL:
         raise ZeroConditionMeasureError(f"conditioning measure {denom!r} <= {ZERO_MEASURE_TOL}")
     return bounded(measure_of(alg, s_labels, rho) / denom, "conditional probability", PROB_SLACK, 1.0)
-
-
-def algebra_from_obj(
-    obj: Mapping, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL
-) -> PerceptionAlgebra:
-    """Parse the JSON form of an algebra: ``{"atoms": [{"label": ..., "operator": rows}, ...]}``.
-
-    The form is strict: one key "atoms", a nonempty array of objects with
-    exactly the keys "label" (a string) and "operator" (rows). A break of the
-    form raises SpecParseError, as does a label repeated, and an invalid
-    operator :class:`PovOperator`'s own error, or DimensionMismatchError when
-    its dim differs from atom 0's; all name the atom as ``algebra atom <i> (<label>)``.
-    """
-    if not isinstance(obj, Mapping) or set(obj) != {"atoms"} or not isinstance(obj["atoms"], list):
-        raise SpecParseError('algebra must be an object whose only key is an "atoms" array')
-    if not obj["atoms"]:
-        raise SpecParseError('algebra "atoms" array is empty; it needs at least one atom')
-    ops: dict[str, PovOperator] = {}
-    dim0 = 0
-    for i, atom in enumerate(obj["atoms"]):
-        if not isinstance(atom, Mapping) or set(atom) != {"label", "operator"}:
-            raise SpecParseError(f'algebra atom {i} must be an object with exactly the keys "label" and "operator"')
-        label = atom["label"]
-        if not isinstance(label, str):
-            raise SpecParseError(f"algebra atom {i}: label must be a string, got {type(label).__name__}")
-        where = f"algebra atom {i} ({reprlib.repr(label)})"
-        with located(where, SpecParseError):
-            if label in ops:
-                raise SpecParseError(f"label repeats atom {list(ops).index(label)}")
-            mat = matrix_from_rows(atom["operator"])
-        with located(where):
-            dim0 = dim0 or len(mat)
-            if len(mat) != dim0:
-                raise DimensionMismatchError(f"operator dim {len(mat)} differs from atom 0's dim {dim0}")
-            ops[label] = PovOperator(mat, mode=mode, tol=tol)
-    return PerceptionAlgebra(list(ops.items()))

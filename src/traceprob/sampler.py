@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import ClassicalCycle, dwell_fractions
+from .classical import ClassicalCycle, _integer, dwell_fractions
 from .errors import NotAPartitionError, ValidationError
 from .matcore import max_abs
 from .quantum import DensityMatrix, Projector, trace_prob
@@ -66,7 +66,7 @@ def _build_report(
 
 
 def _check_draw_args(n_samples: int, seed: int) -> tuple[int, int]:
-    n_samples, seed = int(n_samples), int(seed)
+    n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     if n_samples > MAX_SAMPLES:

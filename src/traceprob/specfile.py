@@ -4,7 +4,7 @@ A system file may carry any subset of: a classical cycle, a density matrix,
 a Hamiltonian, labeled projectors (as matrices or as characteristic vectors
 over the basis states), and a perception algebra. Every matrix present is
 validated through its library class at load time, and all dimensions must
-agree.
+agree. This module is the one that knows the file's keys and forms.
 """
 
 from __future__ import annotations
@@ -12,14 +12,15 @@ from __future__ import annotations
 import gc
 import json
 import reprlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 
 from .classical import ClassicalCycle, PerceptionSet, diag_projector
-from .errors import SpecParseError, located
+from .errors import DimensionMismatchError, SpecParseError, located
 from .matcore import DEFAULT_TOL, matrix_from_rows
-from .measure import PerceptionAlgebra, algebra_from_obj
+from .measure import PerceptionAlgebra, PovOperator
 from .quantum import DensityMatrix, Projector, RealityMode
 from .superselect import Hamiltonian
 
@@ -54,20 +55,50 @@ def _is_int_type(t: type) -> bool:
     return issubclass(t, int) and not issubclass(t, bool)
 
 
-def _is_int(value) -> bool:
-    return _is_int_type(type(value))
-
-
 def _is_char_vector(value) -> bool:
     return isinstance(value, list) and len(value) > 0 and all(map(_is_int_type, set(map(type, value))))
 
 
-def _operator(cls, value, where: str, mode: RealityMode, tol: float):
-    """``cls`` from JSON rows; a malformed matrix is a SpecParseError, and each refusal names ``where``."""
+def _operator(cls, value, where: str, mode: RealityMode, tol: float, dim0: int = 0):
+    """``cls`` from JSON rows; a malformed matrix is a SpecParseError, and each refusal names ``where``.
+    An algebra atom passes atom 0's dim as ``dim0``: a matrix of another dim is refused before ``cls`` runs."""
     with located(where, SpecParseError):
         mat = matrix_from_rows(value)
     with located(where):
+        if dim0 and len(mat) != dim0:
+            raise DimensionMismatchError(f"operator dim {len(mat)} differs from atom 0's dim {dim0}")
         return cls(mat, mode=mode, tol=tol)
+
+
+def algebra_from_obj(
+    obj: Mapping, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL
+) -> PerceptionAlgebra:
+    """Parse the JSON form of an algebra: ``{"atoms": [{"label": ..., "operator": rows}, ...]}``.
+
+    The form is strict: one key "atoms", a nonempty array of objects with
+    exactly the keys "label" (a string) and "operator" (rows). A break of the
+    form raises SpecParseError, as does a label repeated, and an invalid
+    operator :class:`PovOperator`'s own error, or DimensionMismatchError when
+    its dim differs from atom 0's; all name the atom as ``algebra atom <i> (<label>)``.
+    """
+    if not isinstance(obj, Mapping) or set(obj) != {"atoms"} or not isinstance(obj["atoms"], list):
+        raise SpecParseError('algebra must be an object whose only key is an "atoms" array')
+    if not obj["atoms"]:
+        raise SpecParseError('algebra "atoms" array is empty; it needs at least one atom')
+    ops: dict[str, PovOperator] = {}
+    dim0 = 0
+    for i, atom in enumerate(obj["atoms"]):
+        if not isinstance(atom, Mapping) or set(atom) != {"label", "operator"}:
+            raise SpecParseError(f'algebra atom {i} must be an object with exactly the keys "label" and "operator"')
+        label = atom["label"]
+        if not isinstance(label, str):
+            raise SpecParseError(f"algebra atom {i}: label must be a string, got {type(label).__name__}")
+        where = f"algebra atom {i} ({reprlib.repr(label)})"
+        if label in ops:
+            raise SpecParseError(f"{where}: label repeats atom {list(ops).index(label)}")
+        ops[label] = _operator(PovOperator, atom["operator"], where, mode, tol, dim0)
+        dim0 = dim0 or ops[label].dim
+    return PerceptionAlgebra(list(ops.items()))
 
 
 def _parse_cycle(obj) -> ClassicalCycle:
@@ -77,7 +108,7 @@ def _parse_cycle(obj) -> ClassicalCycle:
     if not isinstance(obj, dict) or set(obj) != {"n", "schedule"}:
         raise SpecParseError('cycle must be an object with keys "n" and "schedule"')
     n, schedule = obj["n"], obj["schedule"]
-    if not _is_int(n):
+    if not _is_int_type(type(n)):
         raise SpecParseError("cycle n must be an integer")
     if not (
         isinstance(schedule, list)
@@ -91,9 +122,9 @@ def _parse_cycle(obj) -> ClassicalCycle:
         all(map(_is_int_type, state_types)) and all(_is_int_type(t) or issubclass(t, float) for t in duration_types)
     ):
         for i, (state, duration) in enumerate(schedule):
-            if not _is_int(state):
+            if not _is_int_type(type(state)):
                 raise SpecParseError(f"cycle schedule entry {i}: state must be an integer, got {type(state).__name__}")
-            if not (_is_int(duration) or isinstance(duration, float)):
+            if not (_is_int_type(type(duration)) or isinstance(duration, float)):
                 raise SpecParseError(f"cycle schedule entry {i}: duration must be a number, got {type(duration).__name__}")
     return ClassicalCycle(n, schedule)
 

@@ -44,12 +44,13 @@ class Hamiltonian(Operator):
         m = enforce_reality(mode, mat)
         object.__setattr__(self, "eig", hermitian_eig(m, tol=tol))
         values = self.eig.eigenvalues
-        split = ~(np.diff(values) <= default_cluster_tol(self))
+        with np.errstate(over="ignore"):  # a gap beyond the float range is inf, and splits the sectors
+            split = ~(np.diff(values) <= default_cluster_tol(self))
         bounds = [0, *(np.flatnonzero(split) + 1).tolist(), len(values)]
         spans = list(zip(bounds[:-1], bounds[1:]))
         blocks = EnergyBlocks(
             clusters=tuple(tuple(range(a, b)) for a, b in spans),
-            energies=tuple(float(np.mean(values[a:b])) for a, b in spans),
+            energies=tuple(_mean(values[a:b]) for a, b in spans),
             labels=np.concatenate(([0], np.cumsum(split))),
             basis=self.eig.eigenvectors,
         )
@@ -60,6 +61,15 @@ class Hamiltonian(Operator):
     def energies(self) -> np.ndarray:
         """Ascending eigenvalues."""
         return self.eig.eigenvalues
+
+
+def _mean(values: np.ndarray) -> float:
+    """``np.mean(values)``, or where its sum overflows, the mean of the values
+    scaled by 2**-k (k the bit length of their count) scaled back, which is finite."""
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(values))
+    k = len(values).bit_length()
+    return float(np.mean(values * 2.0**-k)) * 2.0**k if np.isinf(mean) else mean
 
 
 @dataclass(frozen=True, eq=False)

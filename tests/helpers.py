@@ -1,4 +1,4 @@
-"""Random factories shared across the test suite.
+"""Random factories and oracles shared across the test suite.
 
 Every factory takes a ``numpy`` Generator so sweeps are seeded and
 reproducible, and a flag (or RealityMode) selecting real-restricted
@@ -13,13 +13,28 @@ import numpy as np
 from traceprob import (
     ClassicalCycle,
     DensityMatrix,
+    DimensionMismatchError,
     Hamiltonian,
     PerceptionAlgebra,
     PerceptionSet,
     Projector,
     RealityMode,
+    as_matrix,
     trace_prob,
 )
+
+
+def matrix_to_rows(a) -> list:
+    """The spec-file form of a matrix: rows of ``[re, im]`` pairs."""
+    mat = as_matrix(a)
+    return np.stack([mat.real, mat.imag], -1).tolist()
+
+
+def char_or(s: PerceptionSet, s2: PerceptionSet) -> PerceptionSet:
+    """Union: chi + chi' - chi*chi' componentwise (the inclusion-exclusion tests' left side)."""
+    if s.n != s2.n:
+        raise DimensionMismatchError(f"dimension mismatch: {s.n} vs {s2.n}")
+    return PerceptionSet(a + b - a * b for a, b in zip(s.chi, s2.chi))
 
 
 def is_real_mode(mode: RealityMode) -> bool:

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from traceprob import Projector, cli, matrix_to_rows
+from helpers import matrix_to_rows
+from traceprob import Projector, cli
 from traceprob.cli import json_text, main
 
 PLUS_ROWS = matrix_to_rows(np.full((2, 2), 0.5))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_basis, random_cycle, random_hermitian, random_projector, random_subset
+from helpers import matrix_to_rows, random_basis, random_cycle, random_hermitian, random_projector, random_subset
 from traceprob import (
     NotHermitianError,
     ValidationError,
@@ -18,7 +18,6 @@ from traceprob import (
     is_hermitian,
     is_projector,
     matrix_from_rows,
-    matrix_to_rows,
     max_abs,
     trace,
 )

@@ -25,6 +25,7 @@ from traceprob import (
     deviation_check,
     sample_classical,
     sample_measurement,
+    time_average_indicator,
 )
 
 PLUS_STATE = np.full((2, 2), 0.5)
@@ -284,3 +285,32 @@ def test_samplers_refuse_out_of_range_draw_args(n_samples, seed):
     with pytest.raises(ValidationError):
         sample_measurement([Projector(np.eye(2))], DensityMatrix(PLUS_STATE), n_samples, seed)
 
+
+
+TWO_STATES = ClassicalCycle(2, ((1, 1.0), (2, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sample_classical(TWO_STATES, 2.9, 0), "n_samples must be an integer, got float"),
+        (lambda: sample_classical(TWO_STATES, "12", 0), "n_samples must be an integer, got str"),
+        (lambda: sample_classical(TWO_STATES, None, 0), "n_samples must be an integer, got NoneType"),
+        (lambda: sample_classical(TWO_STATES, 10, 1.7), "seed must be an integer, got float"),
+        (
+            lambda: sample_measurement([Projector(np.eye(2))], DensityMatrix(PLUS_STATE), 2.9, 0),
+            "n_samples must be an integer, got float",
+        ),
+        (lambda: time_average_indicator(TWO_STATES, steps=2.5), "steps must be an integer, got float"),
+    ],
+    ids=["n-float", "n-str", "n-none", "seed-float", "measurement-n-float", "steps-float"],
+)
+def test_counts_and_seeds_are_refused_rather_than_coerced(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_numpy_integers_are_counts_and_seeds():
+    assert sample_classical(TWO_STATES, np.int64(10), np.int32(3)) == sample_classical(TWO_STATES, 10, 3)
+    np.testing.assert_array_equal(time_average_indicator(TWO_STATES, np.int64(4)), time_average_indicator(TWO_STATES, 4))

@@ -8,7 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from traceprob import SpecParseError, ValidationError, matrix_to_rows, specfile
+from helpers import matrix_to_rows
+from traceprob import SpecParseError, ValidationError, specfile
 from traceprob.specfile import load_system_spec
 
 HALF = matrix_to_rows(np.full((2, 2), 0.5))

@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     averaged_evolution,
     degenerate_hamiltonian,
+    matrix_to_rows,
     random_density,
     random_hamiltonian,
     random_hermitian,
@@ -29,7 +30,6 @@ from traceprob import (
     energy_blocks,
     evolve,
     is_superselection_compliant,
-    matrix_to_rows,
     max_abs,
     trace,
     trace_prob,
@@ -359,3 +359,36 @@ def test_clusters_invariant_under_shift_and_scale(n, c):
     for blocks in (shifted, scaled):
         assert blocks.clusters == reference.clusters
         assert blocks.labels.tolist() == reference.labels.tolist()
+
+
+def test_sector_energies_are_the_numpy_means_of_their_levels():
+    h = degenerate_hamiltonian(np.random.default_rng(65), 12)
+    blocks = energy_blocks(h)
+    assert blocks.count < 12
+    assert blocks.energies == tuple(float(np.mean(h.energies[list(c)])) for c in blocks.clusters)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not a JSON number: {name}")
+
+
+@pytest.mark.parametrize(
+    "levels, energies",
+    [((1e308, 1e308), [1e308]), ((1e308, -1e308), [-1e308, 1e308])],
+    ids=["sum-overflows", "gap-overflows"],
+)
+def test_levels_near_the_float_range_split_and_average_without_overflow(tmp_path, capsys, levels, energies):
+    spec = tmp_path / "system.json"
+    obj = {
+        "rho": matrix_to_rows(np.eye(2) / 2),
+        "hamiltonian": matrix_to_rows(np.diag(levels)),
+        "projectors": {"a": [1, 0], "b": [0, 1]},
+    }
+    spec.write_text(json.dumps(obj), encoding="utf-8")
+    for command in ("quantum", "dephase", "check"):
+        assert main([command, "--spec", str(spec)]) == 0
+        assert capsys.readouterr().err == ""
+    assert main(["dephase", "--spec", str(spec), "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out, parse_constant=_refuse_constant)["blocks"]["energies"] == energies
