@@ -147,7 +147,9 @@ class ClassicalCycle:
             return np.cumsum(self._durations)
 
     def state_at(self, t: float) -> int:
-        """State occupied at time t (t reduced mod T, dwells half-open [start, end))."""
+        """State occupied at time t (t reduced mod T, dwells half-open [start, end)); t is a finite real."""
+        if not math.isfinite(t := _real(t, "time")):
+            raise ValidationError(f"time must be finite, got {t!r}")
         return int(self._states[self._dwell_indices(np.array([t % self.period]))[0]])
 
     def _dwell_indices(self, times: np.ndarray) -> np.ndarray:

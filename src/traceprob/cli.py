@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .classical import PerceptionSet, classical_density, classical_prob, dwell_fractions
+from .classical import classical_density, classical_prob, dwell_fractions
 from .classical import diag_projector  # noqa: F401  (perfbench/tracer.py wraps cli.diag_projector)
 from .errors import TraceProbError, ValidationError, located
 from .matcore import DEFAULT_TOL, trace
@@ -135,20 +135,19 @@ def _applies(spec: SystemSpec, command: str) -> bool:
 
 def cmd_classical(spec: SystemSpec, args) -> dict:
     for lp in spec.projectors:
-        if lp.chi is None:
+        if lp.pset is None:
             with located(f"projector {reprlib.repr(lp.label)}"):
                 raise ValidationError("must be a characteristic vector for the classical command")
     f = dwell_fractions(spec.cycle)
     rho = DensityMatrix(classical_density(f), mode=spec.mode, tol=args.tol)
     sets = []
     for lp in spec.projectors:
-        s = PerceptionSet(lp.chi)
-        p_cl = classical_prob(s, f)
+        p_cl = classical_prob(lp.pset, f)
         p_tr = trace_prob(lp.projector, rho)
         sets.append(
             {
                 "label": lp.label,
-                "chi": list(lp.chi),
+                "chi": list(lp.pset.chi),
                 "classical_prob": p_cl,
                 "trace_prob": p_tr,
                 "abs_diff": abs(p_cl - p_tr),
@@ -283,8 +282,8 @@ def cmd_check(spec: SystemSpec, args) -> dict:
 
 
 def render_check(spec: SystemSpec, payload: dict) -> str:
-    """The payload's fields, then each projector's sector compliance, which
-    only the text shows, so ``check --json`` does not compute it."""
+    """The payload's fields, then each projector's sector compliance. Only the text
+    shows compliance, though ``check`` also computes it, in ``quantum``, when rho is present."""
     fields, dim = payload["fields"], payload["dim"]
     lines = [
         f"fields: {', '.join(fields) if fields else '(none)'}",

@@ -187,6 +187,12 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     return EigenDecomposition(values.astype(float), vectors.astype(complex))
 
 
+# The JSON scalar rules: an integer is an int, a number an int or float
+# (subclasses included), and neither is ever a bool.
+def _is_int_type(t: type) -> bool:
+    return issubclass(t, int) and not issubclass(t, bool)
+
+
 def _is_number_type(t: type) -> bool:
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 

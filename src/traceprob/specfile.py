@@ -19,7 +19,7 @@ from operator import itemgetter
 
 from .classical import ClassicalCycle, PerceptionSet, diag_projector
 from .errors import DimensionMismatchError, SpecParseError, located
-from .matcore import DEFAULT_TOL, matrix_from_rows
+from .matcore import DEFAULT_TOL, _is_int_type, _is_number_type, matrix_from_rows
 from .measure import PerceptionAlgebra, PovOperator
 from .quantum import DensityMatrix, Projector, RealityMode
 from .superselect import Hamiltonian
@@ -29,12 +29,12 @@ DIMS_SHOWN = 3  # distinct dimensions named in a mismatch refusal
 
 @dataclass(frozen=True)
 class LabeledProjector:
-    """A projector with its spec-file label; chi is set when it came in as a
+    """A projector with its spec-file label; pset is set when it came in as a
     characteristic vector."""
 
     label: str
     projector: Projector
-    chi: tuple[int, ...] | None = None
+    pset: PerceptionSet | None = None
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,6 @@ class SystemSpec:
     algebra: PerceptionAlgebra | None
     mode: RealityMode
     dim: int | None
-
-
-def _is_int_type(t: type) -> bool:
-    return issubclass(t, int) and not issubclass(t, bool)
 
 
 def _is_char_vector(value) -> bool:
@@ -118,13 +114,11 @@ def _parse_cycle(obj) -> ClassicalCycle:
         raise SpecParseError("cycle schedule must be a list of [state, duration] pairs")
     state_types = set(map(type, map(itemgetter(0), schedule)))
     duration_types = set(map(type, map(itemgetter(1), schedule)))
-    if not (
-        all(map(_is_int_type, state_types)) and all(_is_int_type(t) or issubclass(t, float) for t in duration_types)
-    ):
+    if not (all(map(_is_int_type, state_types)) and all(map(_is_number_type, duration_types))):
         for i, (state, duration) in enumerate(schedule):
             if not _is_int_type(type(state)):
                 raise SpecParseError(f"cycle schedule entry {i}: state must be an integer, got {type(state).__name__}")
-            if not (_is_int_type(type(duration)) or isinstance(duration, float)):
+            if not _is_number_type(type(duration)):
                 raise SpecParseError(f"cycle schedule entry {i}: duration must be a number, got {type(duration).__name__}")
     return ClassicalCycle(n, schedule)
 
@@ -199,9 +193,10 @@ def _spec_from_obj(obj, mode_override: RealityMode | None, tol: float) -> System
             with located(where):
                 pset = PerceptionSet(value) if _is_char_vector(value) else None
             if pset is None:
-                projectors.append(LabeledProjector(label, _operator(Projector, value, where, mode, tol)))
+                projector = _operator(Projector, value, where, mode, tol)
             else:
-                projectors.append(LabeledProjector(label, Projector(diag_projector(pset), mode=mode, tol=tol), pset.chi))
+                projector = Projector(diag_projector(pset), mode=mode, tol=tol)
+            projectors.append(LabeledProjector(label, projector, pset))
 
     algebra = algebra_from_obj(obj["algebra"], mode=mode, tol=tol) if "algebra" in obj else None
 

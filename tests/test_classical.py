@@ -114,6 +114,20 @@ def test_state_at_walks_schedule():
     assert c.state_at(2.0) == 1
 
 
+@pytest.mark.parametrize(
+    "t, match",
+    [
+        (float("nan"), "time must be finite, got nan"),
+        (float("inf"), "time must be finite, got inf"),
+        ("1", "time must be a real number, got str"),
+    ],
+    ids=["nan", "inf", "string"],
+)
+def test_state_at_refuses_times_that_are_not_finite_reals(t, match):
+    with pytest.raises(ValidationError, match=match):
+        ClassicalCycle(2, [(1, 1.0), (2, 3.0)]).state_at(t)
+
+
 # --- characteristic-vector algebra ---
 
 

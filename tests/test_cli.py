@@ -246,8 +246,18 @@ def test_algebra_defects_name_the_atom(tmp_path, capsys, command, algebra, categ
             "Validation",
             "rho: matrix is not a density matrix (PSD Hermitian, unit trace) within tolerance",
         ),
+        ({"projectors": {}}, "SpecParse", "projectors must be a nonempty object of label -> value"),
+        ({"projectors": [[1, 0]]}, "SpecParse", "projectors must be a nonempty object of label -> value"),
     ],
-    ids=["rho-not-density", "hamiltonian-not-hermitian", "projector-not-projector", "bad-char-vector", "rho-trace-overflows"],
+    ids=[
+        "rho-not-density",
+        "hamiltonian-not-hermitian",
+        "projector-not-projector",
+        "bad-char-vector",
+        "rho-trace-overflows",
+        "projectors-empty",
+        "projectors-not-an-object",
+    ],
 )
 @pytest.mark.parametrize("command", ["quantum", "check"])
 def test_operator_defects_name_the_field(tmp_path, capsys, command, field, category, message):
@@ -474,6 +484,22 @@ def test_sample_not_a_partition(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sample", "--spec", spec)
     assert code == 1
     assert err.startswith("error[NotAPartition]")
+
+
+@pytest.mark.parametrize(
+    "command, code, err",
+    [
+        ("sample", 1, "error[NotAPartition]: outcome weights sum to 1.0000005, off 1 beyond 1e-9\n"),
+        ("check", 1, "error[NotAPartition]: sample: outcome weights sum to 1.0000005, off 1 beyond 1e-9\n"),
+        ("quantum", 0, ""),
+    ],
+)
+def test_sample_refuses_outcome_weights_that_only_tol_admits(tmp_path, capsys, command, code, err):
+    # rho's trace is 1 + 5e-7, within --tol 1e-6, so the file loads; the
+    # sampler holds the weights of a partition to 1e-9, and check vouches for it.
+    obj = {"rho": matrix_to_rows(np.diag([0.5, 0.5 + 5e-7])), "projectors": {"a": [1, 0], "b": [0, 1]}}
+    got_code, _, got_err = run_cli(capsys, command, "--spec", write_spec(tmp_path, obj), "--tol", "1e-6")
+    assert (got_code, got_err) == (code, err)
 
 
 def test_sample_needs_inputs(tmp_path, capsys):

@@ -72,6 +72,8 @@ def test_algebra_validation():
         PerceptionAlgebra.from_matrices([("a", np.eye(2)), ("a", np.eye(2))])
     with pytest.raises(DimensionMismatchError):
         PerceptionAlgebra.from_matrices([("a", np.eye(2)), ("b", np.eye(3))])
+    with pytest.raises(ValidationError, match="atoms must map labels to PovOperator values"):
+        PerceptionAlgebra([("a", np.eye(2))])
     alg = _two_atom_algebra()
     assert alg.labels == ("a", "b")
     with pytest.raises(UnknownLabelError):

@@ -25,6 +25,7 @@ from traceprob import (
     NotRealError,
     Projector,
     RealityMode,
+    commutes,
     default_cluster_tol,
     dephase,
     energy_blocks,
@@ -227,6 +228,22 @@ def test_dephase_matches_literal_long_time_average():
 def test_dephase_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         dephase(DensityMatrix(PLUS_STATE), Hamiltonian(np.zeros((3, 3))))
+
+
+@pytest.mark.parametrize(
+    "refuse, match",
+    [
+        (lambda: commutes(PLUS_STATE, np.zeros((3, 3))), "dims 2 vs 3"),
+        (
+            lambda: is_superselection_compliant(Projector(PLUS_STATE), Hamiltonian(np.zeros((3, 3)))),
+            "projector dim 2 vs hamiltonian dim 3",
+        ),
+    ],
+    ids=["commutes", "compliance"],
+)
+def test_commutation_tests_refuse_operands_of_different_dims(refuse, match):
+    with pytest.raises(DimensionMismatchError, match=match):
+        refuse()
 
 
 # --- compliance ---

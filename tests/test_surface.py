@@ -2,13 +2,15 @@
 a paper claim that the acceptance gate runs.
 
 Names whose only users are unit tests belong in ``tests/helpers.py`` as
-oracles, not in ``traceprob.__all__``.
+oracles, not in ``traceprob.__all__``. That list is derived from the package's
+imports, so a star import binds it and nothing else.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import traceprob
 
@@ -33,3 +35,12 @@ def test_every_public_name_has_a_use():
     sources.append(ROOT / "tests" / "test_acceptance.py")
     used = set().union(*map(_used_names, sources))
     assert [name for name in traceprob.__all__ if name != "__version__" and name not in used] == []
+
+
+def test_star_import_binds_exactly_the_derived_surface():
+    namespace: dict = {}
+    exec("from traceprob import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(traceprob.__all__)
+    assert [name for name in traceprob.__all__ if isinstance(namespace[name], ModuleType)] == []
+    assert "__version__" in traceprob.__all__
