@@ -18,35 +18,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
-from .matcore import fsum
+from .errors import ValidationError
+from .matcore import _FloatOverflow, _integer, _real, fsum, same_dim
 
 FRACTION_SUM_TOL = 1e-9
 MISSING_SHOWN = 10  # missing states named in a refusal
-
-
-def _integer(x, what: str) -> int:
-    """``x`` as an int: Python and numpy integers only, so 1.9 is refused rather than truncated."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {type(x).__name__}") from None
-
-
-class _FloatOverflow(ValidationError):
-    """A real number beyond the float range; :class:`ClassicalCycle` words it for its schedule."""
-
-
-def _real(x, what: str) -> float:
-    """``x`` as a float: real numbers only, so '0.5' or None is refused rather
-    than parsed, and one beyond the float range (an int such as 10**400) is
-    refused rather than raising OverflowError."""
-    if not isinstance(x, (float, int, numbers.Real)):  # float and int skip the slower ABC check
-        raise ValidationError(f"{what} must be a real number, got {type(x).__name__}")
-    try:
-        return float(x)
-    except OverflowError:
-        raise _FloatOverflow(f"{what} {reprlib.repr(x)} is beyond the float range") from None
 
 
 def _first_bad_entry(entries: list) -> ValidationError:
@@ -203,20 +179,15 @@ class FractionVector:
         return len(self.f)
 
 
-def _check_same_dim(n1: int, n2: int) -> None:
-    if n1 != n2:
-        raise DimensionMismatchError(f"dimension mismatch: {n1} vs {n2}")
-
-
 def char_and(s: PerceptionSet, s2: PerceptionSet) -> PerceptionSet:
     """Intersection: componentwise product of characteristic vectors."""
-    _check_same_dim(s.n, s2.n)
+    same_dim("set", s.n, "set", s2.n)
     return PerceptionSet(a * b for a, b in zip(s.chi, s2.chi))
 
 
 def classical_prob(s: PerceptionSet, f: FractionVector) -> float:
     """Probability of the set: sum of the fractions of its members."""
-    _check_same_dim(s.n, f.n)
+    same_dim("set", s.n, "fractions", f.n)
     return math.fsum(c * x for c, x in zip(s.chi, f.f))
 
 

@@ -21,12 +21,15 @@ differ from the diagonal's in the last bit.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
+import reprlib
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .errors import NotHermitianError, ValidationError
+from .errors import DimensionMismatchError, NotHermitianError, ValidationError
 
 DEFAULT_TOL = 1e-10
 UNITARY_TOL = 1e-9
@@ -51,6 +54,12 @@ def _admit(a) -> np.ndarray:
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
         raise ValidationError("matrix entries must be finite (no NaN/Inf)")
     return mat
+
+
+def same_dim(a_name: str, a_dim: int, b_name: str, b_dim: int) -> None:
+    """The precondition of every rule on two operands: they have one dimension."""
+    if a_dim != b_dim:
+        raise DimensionMismatchError(f"{a_name} dim {a_dim} vs {b_name} dim {b_dim}")
 
 
 def max_abs(a) -> float:
@@ -195,6 +204,31 @@ def _is_int_type(t: type) -> bool:
 
 def _is_number_type(t: type) -> bool:
     return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+# The library's scalar rules, for the arguments of its functions rather than JSON values.
+def _integer(x, what: str) -> int:
+    """``x`` as an int: Python and numpy integers only, so 1.9 is refused rather than truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {type(x).__name__}") from None
+
+
+class _FloatOverflow(ValidationError):
+    """A real number beyond the float range; :class:`ClassicalCycle` words it for its schedule."""
+
+
+def _real(x, what: str) -> float:
+    """``x`` as a float: real numbers only, so '0.5' or None is refused rather
+    than parsed, and one beyond the float range (an int such as 10**400) is
+    refused rather than raising OverflowError."""
+    if not isinstance(x, (float, int, numbers.Real)):  # float and int skip the slower ABC check
+        raise ValidationError(f"{what} must be a real number, got {type(x).__name__}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise _FloatOverflow(f"{what} {reprlib.repr(x)} is beyond the float range") from None
 
 
 def _first_bad_entry(rows) -> ValidationError:

@@ -26,7 +26,7 @@ from .errors import (
     ZeroConditionMeasureError,
     ZeroTotalMeasureError,
 )
-from .matcore import DEFAULT_TOL, fsum, is_hermitian, min_eigenvalue
+from .matcore import DEFAULT_TOL, fsum, is_hermitian, min_eigenvalue, same_dim
 from .matcore import matrix_from_rows  # noqa: F401  (perfbench/tracer.py wraps measure.matrix_from_rows)
 from .quantum import PROB_SLACK, DensityMatrix, Operator, RealityMode, Sealed, bounded, enforce_reality
 
@@ -112,10 +112,10 @@ class PerceptionAlgebra(Sealed):
         memo = self._memo
         if memo is not None and memo[0] is rho:
             return memo[1], memo[2]
-        if self.dim != rho.dim:
-            raise DimensionMismatchError(f"algebra dim {self.dim} vs density dim {rho.dim}")
+        same_dim("algebra", self.dim, "density", rho.dim)
         rho_t = rho.mat.T.ravel()
-        e = {label: float(np.dot(op.mat.ravel(), rho_t).real) for label, op in self._atoms.items()}
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or nan, refused below
+            e = {label: float(np.dot(op.mat.ravel(), rho_t).real) for label, op in self._atoms.items()}
         if not all(math.isfinite(x) for x in e.values()):
             raise NonFiniteError("an atom expectation is not finite")
         total = fsum(e.values())
@@ -128,7 +128,9 @@ class PerceptionAlgebra(Sealed):
 
 
 def _resolve_labels(alg: PerceptionAlgebra, s: Iterable[str]) -> set[str]:
-    """Validate and deduplicate a label subset."""
+    """Validate and deduplicate a label subset, a collection of labels (a str is refused)."""
+    if isinstance(s, str):
+        raise ValidationError("a set of labels must be a collection of labels, not a str")
     wanted = set()
     for label in s:
         label = str(label)

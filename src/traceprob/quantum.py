@@ -23,7 +23,7 @@ from .errors import (
     NumericalIntegrityError,
     ValidationError,
 )
-from .matcore import DEFAULT_TOL, UNITARY_TOL, as_matrix, is_density, is_projector, max_abs
+from .matcore import DEFAULT_TOL, UNITARY_TOL, as_matrix, is_density, is_projector, max_abs, same_dim
 
 REAL_IMAG_TOL = 1e-12
 PROB_SLACK = 1e-9
@@ -130,9 +130,9 @@ def trace_prob(p: Projector, rho: DensityMatrix) -> float:
     The trace of a projector against a density matrix is analytically real
     and in [0, 1]; violations beyond 1e-9 raise, smaller ones are clamped.
     """
-    if p.dim != rho.dim:
-        raise DimensionMismatchError(f"projector dim {p.dim} vs density dim {rho.dim}")
-    t = complex(np.dot(p.mat.ravel(), rho.mat.T.ravel()))
+    same_dim("projector", p.dim, "density", rho.dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or nan, refused below
+        t = complex(np.dot(p.mat.ravel(), rho.mat.T.ravel()))
     if abs(t.imag) > PROB_SLACK:
         raise NumericalIntegrityError(f"trace imaginary part {t.imag:.3e} exceeds {PROB_SLACK}")
     return bounded(t.real, "trace probability", PROB_SLACK, 1.0)
@@ -145,8 +145,7 @@ def unitary_conjugate(u, a) -> np.ndarray:
     """
     um = as_matrix(u)
     am = as_matrix(a)
-    if um.shape != am.shape:
-        raise DimensionMismatchError(f"unitary dim {um.shape[0]} vs operand dim {am.shape[0]}")
+    same_dim("unitary", um.shape[0], "operand", am.shape[0])
     defect = max_abs(um.conj().T @ um - np.eye(um.shape[0]))
     if defect > UNITARY_TOL:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL}")

@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import ClassicalCycle, _integer, dwell_fractions
+from .classical import ClassicalCycle, dwell_fractions
 from .errors import NotAPartitionError, ValidationError
-from .matcore import max_abs
+from .matcore import _integer, max_abs
 from .quantum import DensityMatrix, Projector, trace_prob
 
 PARTITION_TOL = 1e-9
@@ -122,6 +122,12 @@ def sample_measurement(
     counts. Weight sums off 1 by more than 1e-9 are refused.
     """
     n_samples, seed = _check_draw_args(n_samples, seed)
+    if labels is None:
+        labels = [f"outcome-{k}" for k in range(1, len(partition) + 1)]
+    elif isinstance(labels, str):
+        raise ValidationError("labels must be a sequence of labels, not a str")
+    elif len(labels) != len(partition):
+        raise ValidationError("labels must match the number of projectors")
     refusal = partition_refusal(partition, rho.dim)
     if refusal is not None:
         raise refusal
@@ -133,10 +139,6 @@ def sample_measurement(
     weights = weights / weight_sum
 
     counts = np.random.default_rng(seed).multinomial(n_samples, weights)
-    if labels is None:
-        labels = [f"outcome-{k}" for k in range(1, len(partition) + 1)]
-    elif len(labels) != len(partition):
-        raise ValidationError("labels must match the number of projectors")
     return _build_report(list(labels), counts, n_samples, weights, seed)
 
 

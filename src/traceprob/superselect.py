@@ -17,13 +17,14 @@ Hamiltonian share a single clustering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .matcore import DEFAULT_TOL, hermitian_eig, max_abs
+from .errors import ValidationError
+from .matcore import DEFAULT_TOL, _real, hermitian_eig, max_abs, same_dim
 from .quantum import DensityMatrix, Operator, Projector, RealityMode, enforce_reality
 
 COMPLIANCE_TOL = 1e-9
@@ -132,11 +133,12 @@ def pinch(x: np.ndarray, blocks: EnergyBlocks) -> np.ndarray:
 
 
 def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
-    """Conjugate rho by U(t) = V diag(exp(-i E t)) V^dagger."""
-    if rho.dim != h.dim:
-        raise DimensionMismatchError(f"density dim {rho.dim} vs hamiltonian dim {h.dim}")
+    """Conjugate rho by U(t) = V diag(exp(-i E t)) V^dagger; t is a finite real, as in ``state_at``."""
+    same_dim("density", rho.dim, "hamiltonian", h.dim)
+    if not math.isfinite(t := _real(t, "time")):
+        raise ValidationError(f"time must be finite, got {t!r}")
     v = h.eig.eigenvectors
-    phases = np.exp(-1j * h.eig.eigenvalues * float(t))
+    phases = np.exp(-1j * h.eig.eigenvalues * t)
     u = (v * phases[np.newaxis, :]) @ v.conj().T
     return DensityMatrix(u @ rho.mat @ u.conj().T)
 
@@ -148,8 +150,7 @@ def dephase(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
     blocks. The result is block-diagonal across the energy sectors and has
     the same trace as rho.
     """
-    if rho.dim != h.dim:
-        raise DimensionMismatchError(f"density dim {rho.dim} vs hamiltonian dim {h.dim}")
+    same_dim("density", rho.dim, "hamiltonian", h.dim)
     return DensityMatrix(pinch(rho.mat, energy_blocks(h)))
 
 
@@ -162,6 +163,5 @@ def is_superselection_compliant(p: Projector, h: Hamiltonian) -> bool:
     projectors give probabilities that do not depend on the unperceived
     time: tr(p, evolve(rho, h, t)) is constant in t.
     """
-    if p.dim != h.dim:
-        raise DimensionMismatchError(f"projector dim {p.dim} vs hamiltonian dim {h.dim}")
+    same_dim("projector", p.dim, "hamiltonian", h.dim)
     return max_abs(pinch(p.mat, energy_blocks(h)) - p.mat) <= COMPLIANCE_TOL

@@ -33,7 +33,7 @@ def matrix_to_rows(a) -> list:
 def char_or(s: PerceptionSet, s2: PerceptionSet) -> PerceptionSet:
     """Union: chi + chi' - chi*chi' componentwise (the inclusion-exclusion tests' left side)."""
     if s.n != s2.n:
-        raise DimensionMismatchError(f"dimension mismatch: {s.n} vs {s2.n}")
+        raise DimensionMismatchError(f"set dim {s.n} vs set dim {s2.n}")
     return PerceptionSet(a + b - a * b for a, b in zip(s.chi, s2.chi))
 
 

@@ -150,6 +150,20 @@ def test_char_ops_dim_mismatch():
         char_or(PerceptionSet((1, 0)), PerceptionSet((1, 0, 0)))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: char_and(PerceptionSet((1, 0, 1)), PerceptionSet((1, 0))), "set dim 3 vs set dim 2"),
+        (lambda: classical_prob(PerceptionSet((1, 0, 1)), FractionVector((0.5, 0.5))), "set dim 3 vs fractions dim 2"),
+    ],
+    ids=["char-and", "classical-prob"],
+)
+def test_classical_dim_refusals_name_both_operands(call, message):
+    with pytest.raises(DimensionMismatchError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_char_ops_match_set_algebra_exhaustively():
     # All 64 pairs of subsets of {1,2,3} against index-set intersection/union.
     def members(s):

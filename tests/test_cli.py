@@ -560,6 +560,36 @@ def test_check_runs_the_subcommands_that_apply(tmp_path, capsys, obj, code, err)
     assert (got_code, got_err) == (code, err)
 
 
+ALL_1E308_ROWS = matrix_to_rows(np.full((2, 2), 1e308))
+
+
+@pytest.mark.parametrize(
+    "obj, args, err",
+    [
+        (
+            {"rho": PLUS_ROWS, "algebra": {"atoms": [{"label": "a", "operator": ALL_1E308_ROWS}]}},
+            ["measure"],
+            "error[NonFinite]: an atom expectation is not finite\n",
+        ),
+        (
+            {"rho": PLUS_ROWS, "algebra": {"atoms": [{"label": "a", "operator": ALL_1E308_ROWS}]}},
+            ["check"],
+            "error[NonFinite]: measure: an atom expectation is not finite\n",
+        ),
+        (
+            {"rho": PLUS_ROWS, "projectors": {"a": ALL_1E308_ROWS}},
+            ["quantum", "--tol", "1e300"],
+            "error[NonFinite]: trace probability inf is not finite\n",
+        ),
+    ],
+    ids=["measure", "check", "quantum"],
+)
+def test_overflowing_trace_contraction_is_one_typed_refusal(tmp_path, capsys, obj, args, err):
+    # The suite turns warnings into errors, so a RuntimeWarning from the dot would fail here.
+    got = run_cli(capsys, *args, "--spec", write_spec(tmp_path, obj))
+    assert got == (1, "", err)
+
+
 def test_check_json_without_dimension(tmp_path, capsys):
     spec = write_spec(tmp_path, {"reality_mode": "real"})
     code, out, _ = run_cli(capsys, "check", "--spec", spec, "--json")

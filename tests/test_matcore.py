@@ -7,19 +7,29 @@ import pytest
 
 from helpers import matrix_to_rows, random_basis, random_cycle, random_hermitian, random_projector, random_subset
 from traceprob import (
+    DensityMatrix,
+    DimensionMismatchError,
+    Hamiltonian,
     NotHermitianError,
+    PerceptionAlgebra,
+    Projector,
     ValidationError,
     as_matrix,
     classical_density,
+    dephase,
     diag_projector,
     dwell_fractions,
+    evolve,
     hermitian_eig,
     is_density,
     is_hermitian,
     is_projector,
     matrix_from_rows,
     max_abs,
+    measure_of,
     trace,
+    trace_prob,
+    unitary_conjugate,
 )
 from traceprob import matcore
 from traceprob.matcore import hermiticity_defect, idempotency_defect, min_eigenvalue
@@ -330,3 +340,28 @@ def test_overflowing_defects_refuse_without_a_warning(m):
     # The suite turns warnings into errors, so a RuntimeWarning would fail here.
     assert not is_projector(m)
     assert not is_density(m)
+
+
+HALF_2 = DensityMatrix(np.eye(2) / 2)
+ZERO_H_3 = Hamiltonian(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: trace_prob(Projector(np.eye(3)), HALF_2), "projector dim 3 vs density dim 2"),
+        (lambda: unitary_conjugate(np.eye(2), np.eye(3)), "unitary dim 2 vs operand dim 3"),
+        (
+            lambda: measure_of(PerceptionAlgebra.from_matrices([("a", np.eye(3))]), {"a"}, HALF_2),
+            "algebra dim 3 vs density dim 2",
+        ),
+        (lambda: evolve(HALF_2, ZERO_H_3, 1.0), "density dim 2 vs hamiltonian dim 3"),
+        (lambda: dephase(HALF_2, ZERO_H_3), "density dim 2 vs hamiltonian dim 3"),
+    ],
+    ids=["trace-prob", "unitary-conjugate", "expectations", "evolve", "dephase"],
+)
+def test_operands_of_different_dims_are_refused_naming_both(call, message):
+    # is_superselection_compliant's wording is pinned in test_superselect.py.
+    with pytest.raises(DimensionMismatchError) as info:
+        call()
+    assert str(info.value) == message

@@ -205,6 +205,28 @@ def test_measure_overflow_is_non_finite_error():
         measure_of(alg, {"x", "y"}, rho)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda alg: measure_of(alg, "ab", RHO_37),
+        lambda alg: measure_of(alg, "a", RHO_37),
+        lambda alg: normalized_prob(alg, "a", RHO_37),
+        lambda alg: conditional_prob(alg, {"a"}, "ab", RHO_37),
+        lambda alg: conditional_prob(alg, "a", {"a", "b"}, RHO_37),
+        lambda alg: union_operator(alg, "ab"),
+    ],
+    ids=["measure-two-chars", "measure-one-char", "normalized", "conditional-given", "conditional-set", "union"],
+)
+def test_a_string_is_not_a_set_of_labels(call):
+    with pytest.raises(ValidationError) as info:
+        call(_two_atom_algebra())
+    assert str(info.value) == "a set of labels must be a collection of labels, not a str"
+
+
+def test_algebra_repr_lists_its_labels():
+    assert repr(PerceptionAlgebra.from_matrices([("a", np.eye(1))])) == "PerceptionAlgebra(atoms=['a'])"
+
+
 def test_measure_of_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         measure_of(_two_atom_algebra(), {"a"}, DensityMatrix(np.diag([0.2, 0.3, 0.5])))

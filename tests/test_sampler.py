@@ -98,6 +98,23 @@ def test_sample_measurement_custom_labels():
         )
 
 
+@pytest.mark.parametrize(
+    "partition, labels, message",
+    [
+        ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], "xy", "labels must be a sequence of labels, not a str"),
+        ([np.eye(2)], "x", "labels must be a sequence of labels, not a str"),
+        ([np.diag([1.0, 0.0])], ["x", "y"], "labels must match the number of projectors"),  # not a partition either
+        ([np.eye(2), np.eye(2)], ["x"], "labels must match the number of projectors"),  # nor this
+    ],
+    ids=["two-char-str", "one-char-str", "count-before-partition-test", "count-before-orthogonality"],
+)
+def test_sample_measurement_checks_its_labels_first(monkeypatch, partition, labels, message):
+    monkeypatch.setattr(np.random, "default_rng", None)  # refused before any draw
+    with pytest.raises(ValidationError) as info:
+        sample_measurement([Projector(p) for p in partition], DensityMatrix(PLUS_STATE), 10, 0, labels=labels)
+    assert str(info.value) == message
+
+
 def test_sample_measurement_rejects_incomplete_partition():
     with pytest.raises(NotAPartitionError):
         sample_measurement([Projector(np.diag([1.0, 0.0]))], DensityMatrix(PLUS_STATE), 10, seed=6)

@@ -24,6 +24,7 @@ from traceprob import (
     NotHermitianError,
     NotRealError,
     Projector,
+    ValidationError,
     RealityMode,
     commutes,
     default_cluster_tol,
@@ -97,6 +98,23 @@ def test_evolve_phase_example():
 def test_evolve_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         evolve(DensityMatrix(PLUS_STATE), Hamiltonian(np.zeros((3, 3))), 1.0)
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        ("1", "time must be a real number, got str"),
+        (None, "time must be a real number, got NoneType"),
+        (10**400, "time 100000000000000000...0000000000000000000 is beyond the float range"),
+        (float("nan"), "time must be finite, got nan"),
+        (float("inf"), "time must be finite, got inf"),
+    ],
+    ids=["string", "none", "int-beyond-float", "nan", "inf"],
+)
+def test_evolve_takes_its_time_by_the_rule_of_state_at(t, message):
+    with pytest.raises(ValidationError) as info:
+        evolve(DensityMatrix(np.eye(2) / 2), Hamiltonian(np.diag([0.0, 1.0])), t)
+    assert str(info.value) == message
 
 
 # --- energy blocks ---
