@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import classical_density, classical_prob, dwell_fractions
 from .classical import diag_projector  # noqa: F401  (perfbench/tracer.py wraps cli.diag_projector)
-from .errors import TraceProbError, ValidationError, located
+from .errors import NotAPartitionError, TraceProbError, ValidationError, located
 from .matcore import DEFAULT_TOL, trace
 from .measure import measure_of, normalized_prob, total_measure
 from .quantum import DensityMatrix, RealityMode, trace_prob
@@ -93,7 +93,7 @@ def json_text(payload: dict) -> str:
 
 # The spec fields each subcommand reads, as alternatives: it runs when every
 # field of one alternative is present, and refuses with a "needs" line
-# otherwise. ``check`` runs the subcommands that apply, in this order.
+# otherwise. ``check`` runs, in this order, each subcommand whose fields the spec has.
 _READS = {
     "classical": (("cycle", "projectors"),),
     "quantum": (("rho", "projectors"),),
@@ -115,17 +115,6 @@ def _lacks(spec: SystemSpec, command: str) -> ValidationError | None:
     else:  # "a cycle, or projectors plus rho,"
         wanted = "a " + ", or ".join(" plus ".join(alt) for alt in alternatives) + ","
     return ValidationError(f"{command} needs {wanted} in the system file")
-
-
-def _applies(spec: SystemSpec, command: str) -> bool:
-    """Whether ``check`` runs ``command``: the spec has its fields, and, for
-    ``sample`` without a cycle, the sampler's own test finds the projectors a
-    partition. Other projector sets are ``quantum`` input only."""
-    if _lacks(spec, command) is not None:
-        return False
-    if command != "sample" or spec.cycle is not None:
-        return True
-    return partition_refusal([lp.projector for lp in spec.projectors], spec.rho.dim) is None
 
 
 # Each cmd_* returns the payload that --json writes; matrices in it are the
@@ -269,13 +258,17 @@ def render_sample(spec: SystemSpec, payload: dict) -> str:
 
 
 def cmd_check(spec: SystemSpec, args) -> dict:
-    """Run every subcommand that applies to the spec, ``sample`` at its
+    """Run every subcommand whose fields the spec has, ``sample`` at its
     defaults, and drop their payloads; the first refusal names its subcommand."""
     run_args = argparse.Namespace(**vars(args), n=SAMPLE_N, seed=SAMPLE_SEED)
     for command in _READS:
-        if _applies(spec, command):
-            with located(command):
-                _COMMANDS[command](spec, run_args)
+        if _lacks(spec, command) is None:
+            try:
+                with located(command):
+                    _COMMANDS[command](spec, run_args)
+            except NotAPartitionError:  # projectors that are no partition are quantum input only
+                if partition_refusal([lp.projector for lp in spec.projectors], spec.rho.dim) is None:
+                    raise  # a partition's refusal, of its outcome weights, stands
     names = ("cycle", "rho", "hamiltonian", "projectors", "algebra")
     fields = [name for name in names if getattr(spec, name) not in (None, ())]
     return {"ok": True, "fields": fields, "dim": spec.dim, "reality_mode": spec.mode.value}

@@ -144,7 +144,9 @@ def union_operator(alg: PerceptionAlgebra, s: Iterable[str]) -> PovOperator:
     """Sum of the atom operators of ``s``; the empty set gives the zero operator."""
     labels = _resolve_labels(alg, s)
     zero = np.zeros((alg.dim, alg.dim), dtype=complex)
-    return PovOperator(sum((alg.atom(label).mat for label in alg.labels if label in labels), zero))
+    with np.errstate(over="ignore"):  # an overflow reads as inf, which PovOperator refuses
+        total = sum((alg.atom(label).mat for label in alg.labels if label in labels), zero)
+    return PovOperator(total)
 
 
 def measure_of(alg: PerceptionAlgebra, s: Iterable[str], rho: DensityMatrix) -> float:

@@ -146,8 +146,9 @@ def unitary_conjugate(u, a) -> np.ndarray:
     um = as_matrix(u)
     am = as_matrix(a)
     same_dim("unitary", um.shape[0], "operand", am.shape[0])
-    defect = max_abs(um.conj().T @ um - np.eye(um.shape[0]))
-    if defect > UNITARY_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or nan, refused below
+        defect = max_abs(um.conj().T @ um - np.eye(um.shape[0]))
+    if not defect <= UNITARY_TOL:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL}")
     return um @ am @ um.conj().T
 
@@ -160,12 +161,16 @@ def check_invariance(p: Projector, rho: DensityMatrix, u) -> float:
 
 
 def commutes(a, b) -> bool:
-    """Whether |ab - ba|_max <= 1e-10 * max(1, |a|_max * |b|_max)."""
+    """Whether |ab - ba|_max <= 1e-10 * max(1, |a|_max * |b|_max); NonFiniteError if ab - ba overflows."""
     am = as_matrix(a)
     bm = as_matrix(b)
     if am.shape != bm.shape:
         raise DimensionMismatchError(f"dims {am.shape[0]} vs {bm.shape[0]}")
-    return max_abs(am @ bm - bm @ am) <= DEFAULT_TOL * max(1.0, max_abs(am) * max_abs(bm))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or nan, refused below
+        defect = max_abs(am @ bm - bm @ am)
+    if not math.isfinite(defect):
+        raise NonFiniteError(f"commutator defect {defect!r} is not finite")
+    return defect <= DEFAULT_TOL * max(1.0, max_abs(am) * max_abs(bm))
 
 
 def projector_meet(p: Projector, q: Projector) -> Projector:

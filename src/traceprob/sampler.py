@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -109,11 +109,11 @@ def partition_refusal(partition: Sequence[Projector], dim: int) -> NotAPartition
 
 
 def sample_measurement(
-    partition: Sequence[Projector],
+    partition: Iterable[Projector],
     rho: DensityMatrix,
     n_samples: int,
     seed: int,
-    labels: Sequence[str] | None = None,
+    labels: Iterable[str] | None = None,
 ) -> SampleReport:
     """Draw outcomes of a projective partition with trace-rule weights.
 
@@ -122,11 +122,11 @@ def sample_measurement(
     counts. Weight sums off 1 by more than 1e-9 are refused.
     """
     n_samples, seed = _check_draw_args(n_samples, seed)
-    if labels is None:
-        labels = [f"outcome-{k}" for k in range(1, len(partition) + 1)]
-    elif isinstance(labels, str):
+    if isinstance(labels, str):
         raise ValidationError("labels must be a sequence of labels, not a str")
-    elif len(labels) != len(partition):
+    partition = tuple(partition)
+    labels = tuple(f"outcome-{k}" for k in range(1, len(partition) + 1)) if labels is None else tuple(labels)
+    if len(labels) != len(partition):
         raise ValidationError("labels must match the number of projectors")
     refusal = partition_refusal(partition, rho.dim)
     if refusal is not None:
@@ -139,7 +139,7 @@ def sample_measurement(
     weights = weights / weight_sum
 
     counts = np.random.default_rng(seed).multinomial(n_samples, weights)
-    return _build_report(list(labels), counts, n_samples, weights, seed)
+    return _build_report(labels, counts, n_samples, weights, seed)
 
 
 def deviation_check(report: SampleReport) -> bool:

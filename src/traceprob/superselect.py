@@ -137,8 +137,12 @@ def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
     same_dim("density", rho.dim, "hamiltonian", h.dim)
     if not math.isfinite(t := _real(t, "time")):
         raise ValidationError(f"time must be finite, got {t!r}")
+    with np.errstate(over="ignore"):  # a phase beyond the float range reads as inf, refused below
+        et = h.eig.eigenvalues * t
+    if not np.isfinite(et).all():
+        raise ValidationError(f"time {t!r} makes a phase E*t beyond the float range")
     v = h.eig.eigenvectors
-    phases = np.exp(-1j * h.eig.eigenvalues * t)
+    phases = np.exp(-1j * et)
     u = (v * phases[np.newaxis, :]) @ v.conj().T
     return DensityMatrix(u @ rho.mat @ u.conj().T)
 

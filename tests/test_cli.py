@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import matrix_to_rows
-from traceprob import Projector, cli
+from traceprob import Projector, cli, sampler
 from traceprob.cli import json_text, main
 
 PLUS_ROWS = matrix_to_rows(np.full((2, 2), 0.5))
@@ -558,6 +558,33 @@ HUGE_ROWS = matrix_to_rows(np.diag([1e308, 1e308]))
 def test_check_runs_the_subcommands_that_apply(tmp_path, capsys, obj, code, err):
     got_code, _, got_err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, obj))
     assert (got_code, got_err) == (code, err)
+
+
+@pytest.mark.parametrize(
+    "obj, code, err, calls",
+    [
+        ({"rho": HALF_ROWS, "projectors": {"a": [1, 0], "b": [0, 1]}}, 0, "", 1),  # only sample's own test
+        ({"rho": HALF_ROWS, "projectors": {"a": [1, 0]}}, 0, "", 2),  # sample's test, then check's to skip it
+        (
+            {"rho": matrix_to_rows(np.diag([0.5, 0.5 + 5e-7])), "projectors": {"a": [1, 0], "b": [0, 1]}},
+            1,
+            "error[NotAPartition]: sample: outcome weights sum to 1.0000005, off 1 beyond 1e-9\n",
+            2,
+        ),
+    ],
+    ids=["partition", "not-a-partition", "partition-weights-off"],
+)
+def test_check_takes_the_partition_verdict_from_sample(tmp_path, capsys, monkeypatch, obj, code, err, calls):
+    seen = []
+
+    def counted(partition, dim, test=sampler.partition_refusal):
+        seen.append(dim)
+        return test(partition, dim)
+
+    monkeypatch.setattr(cli, "partition_refusal", counted)
+    monkeypatch.setattr(sampler, "partition_refusal", counted)
+    got_code, _, got_err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, obj), "--tol", "1e-6")
+    assert (got_code, got_err, len(seen)) == (code, err, calls)
 
 
 ALL_1E308_ROWS = matrix_to_rows(np.full((2, 2), 1e308))

@@ -30,6 +30,7 @@ from traceprob import (
     NotRealError,
     NotUnitaryError,
     NumericalIntegrityError,
+    PerceptionAlgebra,
     PovOperator,
     Projector,
     RealityMode,
@@ -45,6 +46,7 @@ from traceprob import (
     projector_meet,
     trace,
     trace_prob,
+    union_operator,
     unitary_conjugate,
 )
 from traceprob.matcore import DEFAULT_TOL, relative_bound
@@ -479,6 +481,39 @@ def test_commutes_examples():
     assert not commutes(np.diag([1.0, 0.0]), PLUS_STATE)
     a = np.array([[1.0, 2.0], [2.0, 5.0]])
     assert commutes(a, a)
+
+
+HUGE_PAIR = PerceptionAlgebra.from_matrices([("a", 1e308 * np.eye(2)), ("b", 1e308 * np.eye(2))])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: commutes(np.diag([1e200, 1.0]), np.diag([1e200, 2.0])),
+            NonFiniteError,
+            "commutator defect nan is not finite",
+        ),
+        (lambda: commutes(1e200 * np.eye(2), 1e200 * np.eye(2)), NonFiniteError, "commutator defect nan is not finite"),
+        (
+            lambda: unitary_conjugate(1e308 * np.eye(2), np.eye(2)),
+            NotUnitaryError,
+            "unitarity defect inf exceeds 1e-09",
+        ),
+        (lambda: union_operator(HUGE_PAIR, {"a", "b"}), ValidationError, "matrix entries must be finite (no NaN/Inf)"),
+    ],
+    ids=["commuting-diagonals", "huge-identity-with-itself", "unitary-conjugate", "union-operator"],
+)
+def test_overflowing_products_are_typed_refusals_without_a_warning(call, error, message):
+    # pytest turns a numpy RuntimeWarning into an error, so a warning before the refusal fails here.
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_commutes_answers_when_only_its_bound_passes_the_float_range():
+    # |a|_max * |b|_max = 1e400, yet ab = ba = 0: every finite defect is below such a bound.
+    assert commutes(np.diag([1e200, 0.0]), np.diag([0.0, 1e200]))
 
 
 def test_projector_meet_diagonal_pair():

@@ -139,6 +139,20 @@ def test_sample_measurement_rejects_non_orthogonal_overlap():
         sample_measurement([p1, p2], DensityMatrix(np.diag([0.5, 0.5])), 10, seed=8)
 
 
+def test_sample_measurement_reads_a_generator_partition_and_labels_once():
+    rng = np.random.default_rng(85)
+    partition = random_partition(rng, 3, 3)
+    rho = random_density(rng, 3)
+    labels = ["x", "y", "z"]
+    expected = sample_measurement(partition, rho, 2000, 12, labels=labels)
+    got = sample_measurement((p for p in partition), rho, 2000, 12, labels=(x for x in labels))
+    assert got == expected
+    assert got.outcomes == ("x", "y", "z")
+    unlabeled = sample_measurement(iter(partition), rho, 2000, 12)
+    assert unlabeled.outcomes == ("outcome-1", "outcome-2", "outcome-3")
+    assert unlabeled.counts == expected.counts
+
+
 def test_sample_measurement_deterministic():
     rng = np.random.default_rng(84)
     partition = random_partition(rng, 3, 2)

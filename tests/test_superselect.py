@@ -117,6 +117,20 @@ def test_evolve_takes_its_time_by_the_rule_of_state_at(t, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_evolve_refuses_a_time_whose_phase_overflows(t):
+    # E*t = 1e309 is beyond the float range: refused before U is built, without a numpy warning.
+    with pytest.raises(ValidationError) as info:
+        evolve(DensityMatrix(np.eye(2) / 2), Hamiltonian(np.diag([0.0, 10.0])), t)
+    assert str(info.value) == f"time {t!r} makes a phase E*t beyond the float range"
+
+
+@pytest.mark.parametrize("energy, t", [(10.0, 1e307), (1.0, 1e308)])
+def test_evolve_takes_a_huge_time_whose_phase_is_finite(energy, t):
+    rho = evolve(DensityMatrix(np.eye(2) / 2), Hamiltonian(np.diag([0.0, energy])), t)
+    np.testing.assert_allclose(rho.mat, np.eye(2) / 2, atol=1e-15)
+
+
 # --- energy blocks ---
 
 
