@@ -29,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError, ValidationError
+from .errors import DimensionMismatchError, NonFiniteError, NotHermitianError, ValidationError
 
 DEFAULT_TOL = 1e-10
 UNITARY_TOL = 1e-9
@@ -182,12 +182,16 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     ------
     NotHermitianError
         If the Hermiticity defect exceeds ``tol * max(1, |a|_max)``.
+    NonFiniteError
+        If an eigenvalue is beyond the float range (entries near 1e308 can give one).
     """
     mat = _admit(a)
     defect = hermiticity_defect(mat)
     if defect > relative_bound(mat, tol):
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance")
     values, vectors = np.linalg.eigh(mat)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError(f"eigenvalue {float(values[~np.isfinite(values)][0])!r} is not finite")
     n = mat.shape[0]
     pivot_rows = np.argmax(np.abs(vectors), axis=0)
     pivots = vectors[pivot_rows, np.arange(n)]

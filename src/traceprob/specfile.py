@@ -10,15 +10,19 @@ agree. This module is the one that knows the file's keys and forms.
 from __future__ import annotations
 
 import gc
+import io
 import json
 import reprlib
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 
+import orjson
+
 from .classical import ClassicalCycle, PerceptionSet, diag_projector
-from .errors import DimensionMismatchError, SpecParseError, located
+from .errors import DimensionMismatchError, SpecParseError, TraceProbError, located
 from .matcore import DEFAULT_TOL, _is_int_type, _is_number_type, matrix_from_rows
 from .measure import PerceptionAlgebra, PovOperator
 from .quantum import DensityMatrix, Projector, RealityMode
@@ -133,6 +137,13 @@ def load_system_spec(
     `mode_override` forces the reality mode regardless of the file's own
     "reality_mode" key; `tol` is handed to every matrix-class validation.
 
+    The file is read once, as bytes, and decoded by orjson. The ``json``
+    module is the reference decoder: when orjson refuses the bytes, or the
+    spec built from its tree is refused, the same bytes are decoded as text
+    mode would decode them (UTF-8, universal newlines) and ``json``'s tree
+    gives the spec or the refusal. So every refusal is worded as ``json``
+    decides it; orjson only makes the accepted files fast.
+
     The cyclic garbage collector is paused while the file is decoded and its
     fields are built, and is left as it was found, on a refusal too. The pause
     is process-wide: it holds for every thread until this returns. A decoded
@@ -142,16 +153,25 @@ def load_system_spec(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _spec_from_obj(_decode(path), mode_override, tol)
+        with _decoding(path), open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            return _spec_from_obj(orjson.loads(data), mode_override, tol)
+        except (orjson.JSONDecodeError, TraceProbError):
+            pass  # json decides, and words, every refusal
+        with _decoding(path):
+            obj = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+        return _spec_from_obj(obj, mode_override, tol)
     finally:
         if collecting:
             gc.enable()
 
 
-def _decode(path: str):
+@contextmanager
+def _decoding(path: str):
+    """A failure to read or decode ``path`` as a SpecParseError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        yield
     except OSError as exc:
         raise SpecParseError(f"cannot read {path}: {exc}") from exc
     except RecursionError:

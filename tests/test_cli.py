@@ -126,6 +126,13 @@ def test_dephase_reports_blocks_and_state(tmp_path, capsys):
     assert abs(payload["trace"] - 1.0) <= 1e-12
 
 
+def test_dephase_refuses_a_hamiltonian_whose_eigenvalue_overflows(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"rho": DIAG_10_ROWS, "hamiltonian": matrix_to_rows(1e308 * np.ones((2, 2)))})
+    for extra in ((), ("--json",)):
+        code, out, err = run_cli(capsys, "dephase", "--spec", spec, *extra)
+        assert (code, out, err) == (1, "", "error[NonFinite]: hamiltonian: eigenvalue inf is not finite\n")
+
+
 # --- measure ---
 
 

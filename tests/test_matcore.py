@@ -10,6 +10,7 @@ from traceprob import (
     DensityMatrix,
     DimensionMismatchError,
     Hamiltonian,
+    NonFiniteError,
     NotHermitianError,
     PerceptionAlgebra,
     Projector,
@@ -90,6 +91,16 @@ def test_hermitian_eig_reconstructs():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         hermitian_eig(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def test_hermitian_eig_refuses_an_eigenvalue_beyond_the_float_range():
+    # Every entry is finite, but the eigenvalues are 0 and 2e308. Admitted as
+    # [0, inf], they would join one energy sector, and dephasing diag(1, 0)
+    # would leave it as it is rather than give I/2.
+    huge = 1e308 * np.ones((2, 2))
+    for build in (hermitian_eig, Hamiltonian):
+        with pytest.raises(NonFiniteError, match=r"^eigenvalue inf is not finite$"):
+            build(huge)
 
 
 def test_hermitian_eig_phase_convention():

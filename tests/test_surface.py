@@ -3,12 +3,16 @@ a paper claim that the acceptance gate runs.
 
 Names whose only users are unit tests belong in ``tests/helpers.py`` as
 oracles, not in ``traceprob.__all__``. That list is derived from the package's
-imports, so a star import binds it and nothing else.
+imports, so a star import binds it and nothing else. Importing the package
+loads no third-party package but its two declared dependencies.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -44,3 +48,22 @@ def test_star_import_binds_exactly_the_derived_surface():
     assert sorted(namespace) == sorted(traceprob.__all__)
     assert [name for name in traceprob.__all__ if isinstance(namespace[name], ModuleType)] == []
     assert "__version__" in traceprob.__all__
+
+
+# Prints the top-level names that importing traceprob adds to sys.modules,
+# leaving out the standard library's (and its sysconfig data module, whose
+# name depends on the platform).
+_NEW_PACKAGES = """
+import sys
+before = set(sys.modules)
+import traceprob
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(n for n in added if n not in sys.stdlib_module_names and not n.startswith("_sysconfigdata")))
+"""
+
+
+def test_import_loads_numpy_and_orjson_and_no_other_package():
+    env = {**os.environ, "PYTHONPATH": str(Path(traceprob.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _NEW_PACKAGES], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "['numpy', 'orjson', 'traceprob']\n"
