@@ -139,7 +139,8 @@ def load_system_spec(
 
     The file is read once, as bytes, and decoded by orjson. The ``json``
     module is the reference decoder: when orjson refuses the bytes, or the
-    spec built from its tree is refused, the same bytes are decoded as text
+    spec built from its tree is refused or recurses too deeply (orjson nests
+    far deeper than ``json``), the same bytes are decoded as text
     mode would decode them (UTF-8, universal newlines) and ``json``'s tree
     gives the spec or the refusal. So every refusal is worded as ``json``
     decides it; orjson only makes the accepted files fast.
@@ -157,14 +158,19 @@ def load_system_spec(
             data = fh.read()
         try:
             return _spec_from_obj(orjson.loads(data), mode_override, tol)
-        except (orjson.JSONDecodeError, TraceProbError):
+        except (orjson.JSONDecodeError, RecursionError, TraceProbError):
             pass  # json decides, and words, every refusal
-        with _decoding(path):
-            obj = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
-        return _spec_from_obj(obj, mode_override, tol)
+        return _spec_from_obj(_decode(path, data), mode_override, tol)
     finally:
         if collecting:
             gc.enable()
+
+
+def _decode(path: str, data: bytes):
+    """``json``'s tree of ``data``, decoded as a file opened in text mode
+    would be: UTF-8 with universal newlines."""
+    with _decoding(path):
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
 
 
 @contextmanager

@@ -145,6 +145,27 @@ def test_an_accepted_spec_is_decoded_by_orjson_alone(monkeypatch, path):
     assert _bits(load_system_spec(str(path))) == expected
 
 
+# Number forms that json.dumps never writes, in matrix entries, a
+# characteristic vector and a cycle duration; "L" stands for the literal.
+NUMBER_FORMS = [b"-0", b"-0.0", b"1E2", b"0e0"]
+NUMBER_SPECS = {
+    "rho": b'{"rho": [[[1, L], [L, L]], [[L, L], [L, 0]]]}',
+    "hamiltonian": b'{"hamiltonian": [[[L, 0], [L, 0]], [[L, 0], [L, 0]]]}',
+    "projector": b'{"projectors": {"a": [1, L]}}',
+    "duration": b'{"cycle": {"n": 2, "schedule": [[1, 1.5], [2, L]]}}',
+}
+
+
+@pytest.mark.parametrize("literal", NUMBER_FORMS, ids=[form.decode() for form in NUMBER_FORMS])
+@pytest.mark.parametrize("template", NUMBER_SPECS.values(), ids=NUMBER_SPECS.keys())
+def test_orjson_first_reads_hand_written_numbers_as_json_alone_does(tmp_path, monkeypatch, template, literal):
+    path = tmp_path / "spec.json"
+    path.write_bytes(template.replace(b"L", literal))
+    shipped = _outcome(str(path))
+    monkeypatch.setattr(specfile.orjson, "loads", _refuse)
+    assert _outcome(str(path)) == shipped
+
+
 BIG = str(10**30).encode()
 # Inputs where the two decoders differ, each with the stderr line of `check`;
 # "{path}" stands for the spec file's path.
@@ -192,6 +213,14 @@ REFUSALS = {
     "empty": (b"", "error[SpecParse]: {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
     "deep-nesting": (
         b"[" * 100000 + b"]" * 100000,
+        "error[SpecParse]: {path} nests JSON arrays or objects too deeply",
+    ),
+    "deep-nesting-in-a-field": (  # refusing RealityMode(...) takes the repr of the whole list
+        b'{"reality_mode": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+        "error[SpecParse]: {path} nests JSON arrays or objects too deeply",
+    ),
+    "deep-objects-in-a-field": (
+        b'{"algebra": ' + b'{"a": ' * 5000 + b"0" + b"}" * 5000 + b"}",
         "error[SpecParse]: {path} nests JSON arrays or objects too deeply",
     ),
 }
