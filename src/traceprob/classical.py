@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .matcore import _FloatOverflow, _integer, _real, fsum, same_dim
+from .matcore import _FloatOverflow, _integer, _real, _time, fsum, same_dim
 
 FRACTION_SUM_TOL = 1e-9
 MISSING_SHOWN = 10  # missing states named in a refusal
@@ -124,9 +124,7 @@ class ClassicalCycle:
 
     def state_at(self, t: float) -> int:
         """State occupied at time t (t reduced mod T, dwells half-open [start, end)); t is a finite real."""
-        if not math.isfinite(t := _real(t, "time")):
-            raise ValidationError(f"time must be finite, got {t!r}")
-        return int(self._states[self._dwell_indices(np.array([t % self.period]))[0]])
+        return int(self._states[self._dwell_indices(np.array([_time(t) % self.period]))[0]])
 
     def _dwell_indices(self, times: np.ndarray) -> np.ndarray:
         """Schedule-entry index for each time in [0, T); boundary times roll forward."""

@@ -41,14 +41,24 @@ def as_matrix(a) -> np.ndarray:
     Raises
     ------
     ValidationError
-        If the input is not square 2-D with dim >= 1, or carries NaN/Inf.
+        If the input is not square 2-D with dim >= 1, has an entry that is not
+        a number (text included), or carries NaN/Inf.
     """
-    return _admit(np.array(a, dtype=complex))
+    return _admit(a, copy=True)
 
 
-def _admit(a) -> np.ndarray:
-    """``a`` as a square finite complex matrix, copied only when not a complex array already."""
-    mat = np.asarray(a, dtype=complex)
+def _admit(a, copy: bool = False) -> np.ndarray:
+    """``a`` as a square finite complex matrix, the one conversion of outside input:
+    entries must be numbers (text is refused, not parsed). With ``copy`` the result
+    never shares memory with ``a``; without, a complex array is returned as it is."""
+    try:
+        raw = np.asarray(a)
+        kind = raw.dtype.kind  # bool, int, uint, float, complex, or object holding Python numbers
+        if kind not in "biufcO" or kind == "O" and any(isinstance(x, (str, bytes)) for x in raw.flat):
+            raise ValidationError("matrix entries must be numbers")
+        mat = raw.astype(complex, copy=copy and not isinstance(a, (list, tuple)))  # a list's array is new
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"matrix is not an array of numbers: {exc}") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValidationError(f"expected a square matrix with dim >= 1, got shape {mat.shape}")
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
@@ -235,6 +245,23 @@ def _real(x, what: str) -> float:
         raise _FloatOverflow(f"{what} {reprlib.repr(x)} is beyond the float range") from None
 
 
+def _time(t) -> float:
+    """``t`` as a finite float, the time of ``state_at`` and ``evolve``."""
+    if not math.isfinite(t := _real(t, "time")):
+        raise ValidationError(f"time must be finite, got {t!r}")
+    return t
+
+
+def _labels(s, what: str):
+    """An iterator over ``s``, a collection of labels: any iterable but a str."""
+    if isinstance(s, str):
+        raise ValidationError(f"{what} must be a collection of labels, not a str")
+    try:
+        return iter(s)
+    except TypeError:
+        raise ValidationError(f"{what} must be a collection of labels, got {type(s).__name__}") from None
+
+
 def _first_bad_entry(rows) -> ValidationError:
     """The error naming the first malformed row or entry, scanning row by row
     in the order of the rules of :func:`matrix_from_rows`."""
@@ -287,4 +314,4 @@ def matrix_from_rows(rows) -> np.ndarray:
         flat = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), dtype=float, count=2 * n * n)
     except OverflowError:
         raise _first_bad_entry(rows) from None
-    return as_matrix(flat.view(complex).reshape(n, n))
+    return _admit(flat.view(complex).reshape(n, n))

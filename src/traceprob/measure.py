@@ -26,7 +26,7 @@ from .errors import (
     ZeroConditionMeasureError,
     ZeroTotalMeasureError,
 )
-from .matcore import DEFAULT_TOL, fsum, is_hermitian, min_eigenvalue, same_dim
+from .matcore import DEFAULT_TOL, _labels, fsum, is_hermitian, min_eigenvalue, same_dim
 from .matcore import matrix_from_rows  # noqa: F401  (perfbench/tracer.py wraps measure.matrix_from_rows)
 from .quantum import PROB_SLACK, DensityMatrix, Operator, RealityMode, Sealed, bounded, enforce_reality
 
@@ -46,6 +46,17 @@ class PovOperator(Operator):
         if min_eigenvalue(m) < -tol:
             raise ValidationError("POV operator must be positive semidefinite (eigenvalues >= -tol)")
         self._seal(m)
+
+
+def _pairs(atoms) -> list[tuple]:
+    """The (label, value) pairs of ``atoms``, which must be an iterable of pairs."""
+    try:
+        pairs = [tuple(atom) for atom in atoms]
+        if all(len(pair) == 2 for pair in pairs):
+            return pairs
+    except TypeError:
+        pass
+    raise ValidationError("atoms must be an iterable of (label, operator) pairs")
 
 
 class PerceptionAlgebra(Sealed):
@@ -68,7 +79,7 @@ class PerceptionAlgebra(Sealed):
 
     def __init__(self, atoms: Sequence[tuple[str, PovOperator]]):
         table = {}
-        for label, op in atoms:
+        for label, op in _pairs(atoms):
             label = str(label)
             if label in table:
                 raise ValidationError(f"duplicate atom label {label!r}")
@@ -91,7 +102,7 @@ class PerceptionAlgebra(Sealed):
         mode: RealityMode = RealityMode.COMPLEX,
         tol: float = DEFAULT_TOL,
     ) -> "PerceptionAlgebra":
-        return cls([(label, PovOperator(mat, mode=mode, tol=tol)) for label, mat in pairs])
+        return cls([(label, PovOperator(mat, mode=mode, tol=tol)) for label, mat in _pairs(pairs)])
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -129,10 +140,8 @@ class PerceptionAlgebra(Sealed):
 
 def _resolve_labels(alg: PerceptionAlgebra, s: Iterable[str]) -> set[str]:
     """Validate and deduplicate a label subset, a collection of labels (a str is refused)."""
-    if isinstance(s, str):
-        raise ValidationError("a set of labels must be a collection of labels, not a str")
     wanted = set()
-    for label in s:
+    for label in _labels(s, "a set of labels"):
         label = str(label)
         if label not in alg._atoms:
             raise UnknownLabelError(f"unknown atom label {label!r}")

@@ -15,7 +15,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     NonCommutingError,
     NonFiniteError,
     NotRealError,
@@ -164,8 +163,7 @@ def commutes(a, b) -> bool:
     """Whether |ab - ba|_max <= 1e-10 * max(1, |a|_max * |b|_max); NonFiniteError if ab - ba overflows."""
     am = as_matrix(a)
     bm = as_matrix(b)
-    if am.shape != bm.shape:
-        raise DimensionMismatchError(f"dims {am.shape[0]} vs {bm.shape[0]}")
+    same_dim("a", am.shape[0], "b", bm.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or nan, refused below
         defect = max_abs(am @ bm - bm @ am)
     if not math.isfinite(defect):

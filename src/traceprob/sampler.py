@@ -17,7 +17,7 @@ import numpy as np
 
 from .classical import ClassicalCycle, dwell_fractions
 from .errors import NotAPartitionError, ValidationError
-from .matcore import _integer, max_abs
+from .matcore import _integer, _labels, max_abs
 from .quantum import DensityMatrix, Projector, trace_prob
 
 PARTITION_TOL = 1e-9
@@ -38,6 +38,8 @@ class SampleReport:
     seed: int
 
     def __post_init__(self):
+        if self.total < 1:
+            raise ValidationError("total must be >= 1")
         k = len(self.outcomes)
         if not (len(self.counts) == len(self.empirical_freqs) == len(self.expected_probs) == k):
             raise ValidationError("report fields must have one entry per outcome")
@@ -122,10 +124,10 @@ def sample_measurement(
     counts. Weight sums off 1 by more than 1e-9 are refused.
     """
     n_samples, seed = _check_draw_args(n_samples, seed)
-    if isinstance(labels, str):
-        raise ValidationError("labels must be a sequence of labels, not a str")
     partition = tuple(partition)
-    labels = tuple(f"outcome-{k}" for k in range(1, len(partition) + 1)) if labels is None else tuple(labels)
+    if labels is None:
+        labels = [f"outcome-{k}" for k in range(1, len(partition) + 1)]
+    labels = tuple(_labels(labels, "labels"))
     if len(labels) != len(partition):
         raise ValidationError("labels must match the number of projectors")
     refusal = partition_refusal(partition, rho.dim)

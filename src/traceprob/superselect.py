@@ -17,14 +17,13 @@ Hamiltonian share a single clustering.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .matcore import DEFAULT_TOL, _real, hermitian_eig, max_abs, same_dim
+from .matcore import DEFAULT_TOL, _time, hermitian_eig, max_abs, same_dim
 from .quantum import DensityMatrix, Operator, Projector, RealityMode, enforce_reality
 
 COMPLIANCE_TOL = 1e-9
@@ -135,8 +134,7 @@ def pinch(x: np.ndarray, blocks: EnergyBlocks) -> np.ndarray:
 def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
     """Conjugate rho by U(t) = V diag(exp(-i E t)) V^dagger; t is a finite real, as in ``state_at``."""
     same_dim("density", rho.dim, "hamiltonian", h.dim)
-    if not math.isfinite(t := _real(t, "time")):
-        raise ValidationError(f"time must be finite, got {t!r}")
+    t = _time(t)
     with np.errstate(over="ignore"):  # a phase beyond the float range reads as inf, refused below
         et = h.eig.eigenvalues * t
     if not np.isfinite(et).all():

@@ -57,6 +57,7 @@ CASES = [
     ("real", "check", []),
     ("measure", "measure", []),
     ("measure", "check", []),
+    ("sectors", "check", []),  # no rho: only the text's compliance lines evaluate the projectors
 ]
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,17 @@ from traceprob import (
     NonFiniteError,
     NotHermitianError,
     PerceptionAlgebra,
+    PovOperator,
     Projector,
+    RealityMode,
     ValidationError,
     as_matrix,
     classical_density,
+    commutes,
     dephase,
     diag_projector,
     dwell_fractions,
+    enforce_reality,
     evolve,
     hermitian_eig,
     is_density,
@@ -376,3 +382,88 @@ def test_operands_of_different_dims_are_refused_naming_both(call, message):
     with pytest.raises(DimensionMismatchError) as info:
         call()
     assert str(info.value) == message
+
+
+# --- the one gate for outside matrices ---
+
+# Input that numpy cannot read as numbers, or would read from text: every
+# function that admits a matrix refuses it with ValidationError, not a raw
+# numpy error and not a parsed number.
+MALFORMED = {
+    "str": "abc",
+    "text-entries": [["1", "0"], ["0", "0"]],
+    "bytes-entries": [[b"1"]],
+    "text-beside-a-fraction": [[Fraction(1), "1"]],
+    "dict": {"a": 1},
+    "object-entry": [[object()]],
+    "ragged": [[1], [2, 3]],
+    "int-beyond-float": [[10**400]],
+    "dates": np.array([["2020-01-01"]], dtype="M8[D]"),
+    "records": np.zeros((1, 1), dtype=[("a", float)]),
+}
+
+ONE = np.eye(1)
+ADMITTERS = {
+    "as_matrix": as_matrix,
+    "enforce_reality": lambda m: enforce_reality(RealityMode.COMPLEX, m),
+    "Projector": Projector,
+    "DensityMatrix": DensityMatrix,
+    "PovOperator": PovOperator,
+    "Hamiltonian": Hamiltonian,
+    "from_matrices": lambda m: PerceptionAlgebra.from_matrices([("a", m)]),
+    "is_hermitian": is_hermitian,
+    "is_projector": is_projector,
+    "is_density": is_density,
+    "trace": trace,
+    "hermitian_eig": hermitian_eig,
+    "commutes-a": lambda m: commutes(m, ONE),
+    "commutes-b": lambda m: commutes(ONE, m),
+    "unitary_conjugate-u": lambda m: unitary_conjugate(m, ONE),
+    "unitary_conjugate-a": lambda m: unitary_conjugate(ONE, m),
+}
+
+
+@pytest.mark.parametrize("admit", ADMITTERS.values(), ids=ADMITTERS.keys())
+@pytest.mark.parametrize("bad", MALFORMED.values(), ids=MALFORMED.keys())
+def test_every_matrix_gate_refuses_malformed_input(admit, bad):
+    with pytest.raises(ValidationError, match="^matrix (entries must be numbers$|is not an array of numbers: )"):
+        admit(bad)
+
+
+@pytest.mark.parametrize("admit", ADMITTERS.values(), ids=ADMITTERS.keys())
+def test_a_none_entry_is_refused_as_not_finite(admit):
+    with pytest.raises(ValidationError, match=r"^matrix entries must be finite \(no NaN/Inf\)$"):
+        admit([[None]])
+
+
+NUMERIC = {
+    "ints": [[1, -2], [3, 4]],
+    "floats": [[0.1, -0.0], [1e300, 5e-324]],
+    "complex": [[1j, 2 + 0.5j], [-0.0j, 3]],
+    "bools": [[True, False], [False, True]],
+    "numpy-scalars": [[np.float32(0.1), np.int8(-3)], [np.complex64(1 + 2j), np.float16(0.5)]],
+    "numpy-beside-python": [[np.float32(0.1), 0.1], [np.int64(2**60 + 1), 1j]],
+    "fractions": [[Fraction(1, 3), 1], [Fraction(-2, 7), 0.5]],
+    "ints-beyond-int64": [[10**20, 1], [2**64 - 1, -(2**70)]],
+    "real-array": np.arange(4.0).reshape(2, 2),
+    "complex-array": np.array([[1 + 1j, 0], [0, -0.0]]),
+    "fortran-array": np.asfortranarray(np.arange(4.0).reshape(2, 2) * 1j),
+    "tuple-of-arrays": (np.array([0.5, 1]), np.array([2, 3])),
+}
+
+
+@pytest.mark.parametrize("a", NUMERIC.values(), ids=NUMERIC.keys())
+def test_numeric_input_is_admitted_bit_identically(a):
+    got = as_matrix(a)
+    want = np.array(a, dtype=complex)
+    assert got.dtype == complex and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # the sign of zero included
+    if isinstance(a, np.ndarray):
+        assert not np.shares_memory(got, a)
+
+
+def test_matrix_from_rows_admits_the_buffer_it_built_without_a_copy(monkeypatch):
+    monkeypatch.setattr(matcore, "as_matrix", None)  # a call would fail
+    built = matrix_from_rows(matrix_to_rows(np.diag([1.0, 2j])))
+    assert not built.flags.owndata  # a view of the parsed numbers
+    assert built.tobytes() == np.diag([1.0, 2j]).tobytes()

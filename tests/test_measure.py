@@ -223,6 +223,37 @@ def test_a_string_is_not_a_set_of_labels(call):
     assert str(info.value) == "a set of labels must be a collection of labels, not a str"
 
 
+@pytest.mark.parametrize(
+    "call, got",
+    [
+        (lambda alg: measure_of(alg, None, RHO_37), "NoneType"),
+        (lambda alg: union_operator(alg, 5), "int"),
+    ],
+    ids=["measure-none", "union-int"],
+)
+def test_a_set_of_labels_must_be_iterable(call, got):
+    with pytest.raises(ValidationError) as info:
+        call(_two_atom_algebra())
+    assert str(info.value) == f"a set of labels must be a collection of labels, got {got}"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PerceptionAlgebra(5),
+        lambda: PerceptionAlgebra([("a",)]),
+        lambda: PerceptionAlgebra([("a", PovOperator(np.eye(1)), "extra")]),
+        lambda: PerceptionAlgebra([3]),
+        lambda: PerceptionAlgebra.from_matrices(None),
+        lambda: PerceptionAlgebra.from_matrices([("a",)]),
+    ],
+    ids=["not-iterable", "one-element-atom", "three-element-atom", "atom-not-iterable", "from-none", "from-one-element"],
+)
+def test_an_algebra_needs_an_iterable_of_pairs(build):
+    with pytest.raises(ValidationError, match=r"^atoms must be an iterable of \(label, operator\) pairs$"):
+        build()
+
+
 def test_algebra_repr_lists_its_labels():
     assert repr(PerceptionAlgebra.from_matrices([("a", np.eye(1))])) == "PerceptionAlgebra(atoms=['a'])"
 

@@ -101,8 +101,8 @@ def test_sample_measurement_custom_labels():
 @pytest.mark.parametrize(
     "partition, labels, message",
     [
-        ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], "xy", "labels must be a sequence of labels, not a str"),
-        ([np.eye(2)], "x", "labels must be a sequence of labels, not a str"),
+        ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], "xy", "labels must be a collection of labels, not a str"),
+        ([np.eye(2)], "x", "labels must be a collection of labels, not a str"),
         ([np.diag([1.0, 0.0])], ["x", "y"], "labels must match the number of projectors"),  # not a partition either
         ([np.eye(2), np.eye(2)], ["x"], "labels must match the number of projectors"),  # nor this
     ],
@@ -232,6 +232,26 @@ def test_report_validates_counts():
             max_abs_deviation=0.0,
             seed=0,
         )
+
+
+def test_report_refuses_an_empty_tally():
+    # deviation_check divides by the total, so a report of no draws is refused when built
+    with pytest.raises(ValidationError, match="^total must be >= 1$"):
+        SampleReport(
+            outcomes=("a",),
+            counts=(0,),
+            total=0,
+            empirical_freqs=(0.0,),
+            expected_probs=(1.0,),
+            max_abs_deviation=1.0,
+            seed=0,
+        )
+
+
+def test_sample_measurement_refuses_labels_that_are_no_collection():
+    with pytest.raises(ValidationError) as info:
+        sample_measurement([Projector(np.eye(2))], DensityMatrix(PLUS_STATE), 10, 0, labels=5)
+    assert str(info.value) == "labels must be a collection of labels, got int"
 
 
 # --- the multinomial draw against the literal O(N) samplers ---

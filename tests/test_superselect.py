@@ -265,7 +265,7 @@ def test_dephase_dim_mismatch():
 @pytest.mark.parametrize(
     "refuse, match",
     [
-        (lambda: commutes(PLUS_STATE, np.zeros((3, 3))), "dims 2 vs 3"),
+        (lambda: commutes(PLUS_STATE, np.zeros((3, 3))), "a dim 2 vs b dim 3"),
         (
             lambda: is_superselection_compliant(Projector(PLUS_STATE), Hamiltonian(np.zeros((3, 3)))),
             "projector dim 2 vs hamiltonian dim 3",
