@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import reprlib
 import sys
 
@@ -21,7 +20,7 @@ import numpy as np
 from .classical import classical_density, classical_prob, dwell_fractions
 from .classical import diag_projector  # noqa: F401  (perfbench/tracer.py wraps cli.diag_projector)
 from .errors import NotAPartitionError, TraceProbError, ValidationError, located
-from .matcore import DEFAULT_TOL, trace
+from .matcore import DEFAULT_TOL, _tol, trace
 from .measure import measure_of, normalized_prob, total_measure
 from .quantum import DensityMatrix, RealityMode, trace_prob
 from .sampler import deviation_check, partition_refusal, sample_classical, sample_measurement
@@ -359,9 +358,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(_attach_tol_values(sys.argv[1:] if argv is None else argv))
     mode = RealityMode.REAL if args.real else None
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0.0):
-            raise ValidationError(f"--tol must be finite and > 0, got {args.tol!r}")
-        spec = load_system_spec(args.spec, mode_override=mode, tol=args.tol)
+        spec = load_system_spec(args.spec, mode_override=mode, tol=_tol(args.tol, "--tol"))
         refusal = _lacks(spec, args.command)
         if refusal is not None:
             raise refusal

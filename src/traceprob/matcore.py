@@ -6,8 +6,9 @@ defect per check. The Hermiticity and idempotency defects of a matrix ``a``
 pass at tolerance ``tol`` when at most ``tol * max(1, |a|_max)``, with
 ``|.|_max`` the largest entry magnitude; the unit-trace defect ``|tr a - 1|``
 and the smallest eigenvalue are held to ``tol`` and ``-tol`` themselves.
-The default tolerance is robust for double precision at the dimensions this
-package targets, and is tested at n <= 256.
+A tolerance is a finite real > 0; any other is refused. The default
+tolerance is robust for double precision at the dimensions this package
+targets, and is tested at n <= 256.
 
 The Hermiticity and idempotency defects and the smallest eigenvalue have a
 fast path for a real diagonal matrix (every off-diagonal entry and every
@@ -142,12 +143,14 @@ def min_eigenvalue(mat: np.ndarray) -> float:
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``a`` equals its adjoint within ``tol`` (relative to max(1, |a|_max))."""
+    tol = _tol(tol)
     mat = _admit(a)
     return hermiticity_defect(mat) <= relative_bound(mat, tol)
 
 
 def is_projector(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``a`` is Hermitian and idempotent within ``tol``."""
+    tol = _tol(tol)
     mat = _admit(a)
     bound = relative_bound(mat, tol)
     return hermiticity_defect(mat) <= bound and idempotency_defect(mat) <= bound
@@ -156,6 +159,7 @@ def is_projector(a, tol: float = DEFAULT_TOL) -> bool:
 def is_density(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``a`` is Hermitian, positive semidefinite (eigenvalues >= -tol),
     and of unit trace (|trace - 1| <= tol)."""
+    tol = _tol(tol)
     mat = _admit(a)
     return is_hermitian(mat, tol) and trace_defect(mat) <= tol and min_eigenvalue(mat) >= -tol
 
@@ -195,6 +199,7 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     NonFiniteError
         If an eigenvalue is beyond the float range (entries near 1e308 can give one).
     """
+    tol = _tol(tol)
     mat = _admit(a)
     defect = hermiticity_defect(mat)
     if defect > relative_bound(mat, tol):
@@ -243,6 +248,13 @@ def _real(x, what: str) -> float:
         return float(x)
     except OverflowError:
         raise _FloatOverflow(f"{what} {reprlib.repr(x)} is beyond the float range") from None
+
+
+def _tol(x, what: str = "tol") -> float:
+    """``x`` as a tolerance: a finite real > 0."""
+    if not (math.isfinite(tol := _real(x, what)) and tol > 0.0):
+        raise ValidationError(f"{what} must be finite and > 0, got {tol!r}")
+    return tol
 
 
 def _time(t) -> float:

@@ -10,6 +10,7 @@ they commute; for non-commuting pairs the meet is refused.
 from __future__ import annotations
 
 import math
+import reprlib
 from enum import Enum
 
 import numpy as np
@@ -36,7 +37,12 @@ class RealityMode(Enum):
 
 
 def enforce_reality(mode: RealityMode, a) -> np.ndarray:
-    """Pass ``a`` through unchanged; under REAL mode reject imaginary parts > 1e-12."""
+    """Pass ``a`` through unchanged; under REAL mode reject imaginary parts > 1e-12.
+    ``mode`` is read as ``RealityMode(mode)``, so "real" is REAL; any other value is refused."""
+    try:
+        mode = RealityMode(mode)
+    except ValueError:
+        raise ValidationError(f'mode must be a RealityMode, "complex" or "real", got {reprlib.repr(mode)}') from None
     mat = as_matrix(a)
     if mode is RealityMode.REAL:
         worst = float(np.max(np.abs(mat.imag)))

@@ -124,7 +124,13 @@ def sample_measurement(
     counts. Weight sums off 1 by more than 1e-9 are refused.
     """
     n_samples, seed = _check_draw_args(n_samples, seed)
-    partition = tuple(partition)
+    try:
+        partition = tuple(partition)
+    except TypeError:
+        raise ValidationError(f"partition must be an iterable of Projectors, got {type(partition).__name__}") from None
+    for i, p in enumerate(partition):
+        if not isinstance(p, Projector):
+            raise ValidationError(f"partition entry {i} must be a Projector, got {type(p).__name__}")
     if labels is None:
         labels = [f"outcome-{k}" for k in range(1, len(partition) + 1)]
     labels = tuple(_labels(labels, "labels"))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import os
 import reprlib
 from collections.abc import Mapping
 from contextlib import contextmanager
@@ -22,7 +23,7 @@ from operator import itemgetter
 import orjson
 
 from .classical import ClassicalCycle, PerceptionSet, diag_projector
-from .errors import DimensionMismatchError, SpecParseError, TraceProbError, located
+from .errors import DimensionMismatchError, SpecParseError, TraceProbError, ValidationError, located
 from .matcore import DEFAULT_TOL, _is_int_type, _is_number_type, matrix_from_rows
 from .measure import PerceptionAlgebra, PovOperator
 from .quantum import DensityMatrix, Projector, RealityMode
@@ -128,12 +129,14 @@ def _parse_cycle(obj) -> ClassicalCycle:
 
 
 def load_system_spec(
-    path: str,
+    path: str | bytes | os.PathLike,
     mode_override: RealityMode | None = None,
     tol: float = DEFAULT_TOL,
 ) -> SystemSpec:
     """Read and validate a system description file.
 
+    `path` is a str, bytes or os.PathLike; anything else is refused before
+    anything is opened, so an int is never read as a file descriptor.
     `mode_override` forces the reality mode regardless of the file's own
     "reality_mode" key; `tol` is handed to every matrix-class validation.
 
@@ -151,6 +154,8 @@ def load_system_spec(
     JSON tree holds no reference cycles, so a collection would only walk it;
     on success the tree is freed before collection resumes.
     """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValidationError(f"spec path must be a str, bytes or os.PathLike, got {type(path).__name__}")
     collecting = gc.isenabled()
     gc.disable()
     try:

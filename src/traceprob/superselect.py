@@ -18,7 +18,6 @@ Hamiltonian share a single clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +78,6 @@ class EnergyBlocks:
     ``labels[i]`` is the cluster of eigen-index ``i`` and ``basis`` the
     eigenvector matrix the clusters refer to; adjacent clusters are separated
     by an energy gap larger than :func:`default_cluster_tol`.
-    ``projectors`` (the spectral projectors V_k V_k^dagger, which sum to the
-    identity and are mutually orthogonal) are built on first access and kept;
-    dephasing and compliance never build them.
     """
 
     clusters: tuple[tuple[int, ...], ...]
@@ -95,16 +91,6 @@ class EnergyBlocks:
     @property
     def count(self) -> int:
         return len(self.clusters)
-
-    @cached_property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for cluster in self.clusters:
-            block = self.basis[:, list(cluster)]
-            pi = block @ block.conj().T
-            pi.setflags(write=False)
-            out.append(pi)
-        return tuple(out)
 
 
 def default_cluster_tol(h: Hamiltonian) -> float:

@@ -20,6 +20,7 @@ from traceprob import (
     Projector,
     RealityMode,
     as_matrix,
+    energy_blocks,
     trace_prob,
 )
 
@@ -155,20 +156,22 @@ def averaged_evolution(rho: DensityMatrix, h: Hamiltonian, times: np.ndarray) ->
     return v @ (rho_eig * mean_phase) @ v.conj().T
 
 
-def sector_sum(x: np.ndarray, h: Hamiltonian, clusters) -> np.ndarray:
-    """Literal pinching: the sum of Pi_k x Pi_k over the given clusters of h.
-
-    One dense sandwich per sector, with each Pi_k built from h's eigenvectors,
-    so the cost is O(n^4) on a nondegenerate spectrum. The oracle for the
-    library's O(n^3) pinching.
-    """
+def spectral_projectors(h: Hamiltonian) -> tuple[np.ndarray, ...]:
+    """The spectral projectors Pi_k = V_k V_k^dagger of h, one per energy sector,
+    with V_k the eigenvector columns of sector k. They sum to the identity and
+    are mutually orthogonal; the library never builds them."""
     v = h.eig.eigenvectors
-    out = np.zeros_like(x)
-    for cluster in clusters:
-        block = v[:, list(cluster)]
-        pi = block @ block.conj().T
-        out = out + pi @ x @ pi
-    return out
+    blocks = (v[:, list(c)] for c in energy_blocks(h).clusters)
+    return tuple(b @ b.conj().T for b in blocks)
+
+
+def sector_sum(x: np.ndarray, h: Hamiltonian) -> np.ndarray:
+    """Literal pinching: the sum of Pi_k x Pi_k over the energy sectors of h.
+
+    One dense sandwich per sector, so the cost is O(n^4) on a nondegenerate
+    spectrum. The oracle for the library's O(n^3) pinching.
+    """
+    return sum((pi @ x @ pi for pi in spectral_projectors(h)), np.zeros_like(x))
 
 
 def degenerate_hamiltonian(rng, n: int) -> Hamiltonian:

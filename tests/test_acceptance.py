@@ -57,6 +57,7 @@ from helpers import (
     random_partition,
     random_projector,
     random_subset,
+    spectral_projectors,
 )
 
 _NAMES = {
@@ -103,7 +104,14 @@ def _check_time_average(mode: RealityMode) -> tuple[bool, str]:
         cycle = random_cycle(rng, n)
         avg = time_average_indicator(cycle, steps=100_000)
         worst = max(worst, max_abs(avg - np.diag(dwell_fractions(cycle).f)))
-    return worst <= 1e-4, f"max entry gap to diag(fractions) {worst:.1e} over 50 cycles"
+        # the same average taken from the cycle's definition, the state at t, at each midpoint
+        midpoints = (np.arange(2000) + 0.5) * (cycle.period / 2000)
+        visits = np.bincount([cycle.state_at(t) - 1 for t in midpoints], minlength=n)
+        if not np.array_equal(np.diag(visits / 2000), time_average_indicator(cycle, 2000)):
+            return False, f"state_at at 2000 midpoints differs from time_average_indicator on {cycle.schedule}"
+    return worst <= 1e-4, (
+        f"max entry gap to diag(fractions) {worst:.1e} over 50 cycles; state_at at 2000 midpoints exact"
+    )
 
 
 def _check_unitary_invariance(mode: RealityMode) -> tuple[bool, str]:
@@ -169,7 +177,7 @@ def _check_superselection(mode: RealityMode) -> tuple[bool, str]:
         if not pick.any():
             pick[int(rng.integers(0, blocks.count))] = True
         pmat = np.zeros((n, n), dtype=complex)
-        for flag, pi in zip(pick, blocks.projectors):
+        for flag, pi in zip(pick, spectral_projectors(h)):
             if flag:
                 pmat = pmat + pi
         p = Projector(pmat, mode=mode)

@@ -218,6 +218,42 @@ def test_predicate_thresholds(predicate, mat, tol, expected):
     assert predicate(np.array(mat, dtype=complex), tol) is expected
 
 
+TOL_GATES = {
+    "is_hermitian": lambda tol: is_hermitian(np.eye(2), tol=tol),
+    "is_projector": lambda tol: is_projector(np.eye(2), tol=tol),
+    "is_density": lambda tol: is_density(np.eye(2) / 2, tol=tol),
+    "hermitian_eig": lambda tol: hermitian_eig(np.eye(2), tol=tol),
+    "Projector": lambda tol: Projector(np.eye(2), tol=tol),
+    "DensityMatrix": lambda tol: DensityMatrix(np.eye(2) / 2, tol=tol),
+    "PovOperator": lambda tol: PovOperator(np.eye(2), tol=tol),
+    "Hamiltonian": lambda tol: Hamiltonian(np.eye(2), tol=tol),
+}
+BAD_TOLS = {
+    "text": ("x", "tol must be a real number, got str"),
+    "none": (None, "tol must be a real number, got NoneType"),
+    "negative": (-1.0, "tol must be finite and > 0, got -1.0"),
+    "zero": (0.0, "tol must be finite and > 0, got 0.0"),
+    "nan": (float("nan"), "tol must be finite and > 0, got nan"),
+    "inf": (float("inf"), "tol must be finite and > 0, got inf"),
+    "int-beyond-float": (10**400, "tol 100000000000000000...0000000000000000000 is beyond the float range"),
+}
+
+
+@pytest.mark.parametrize("gate", TOL_GATES.values(), ids=TOL_GATES.keys())
+@pytest.mark.parametrize("tol, message", BAD_TOLS.values(), ids=BAD_TOLS.keys())
+def test_every_tolerance_is_a_finite_real_above_zero(gate, tol, message):
+    with pytest.raises(ValidationError) as info:
+        gate(tol)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("gate", TOL_GATES.values(), ids=TOL_GATES.keys())
+def test_a_tolerance_may_be_any_positive_real_number(gate):
+    gate(1)
+    gate(Fraction(1, 10**10))
+    gate(np.float32(1e-6))
+
+
 def test_conjugation_preserves_projectors():
     rng = np.random.default_rng(18)
     for trial in range(100):

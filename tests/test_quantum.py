@@ -250,6 +250,39 @@ def test_enforce_reality_examples():
     np.testing.assert_array_equal(enforce_reality(RealityMode.COMPLEX, b), b)
 
 
+# A projector, a density matrix, a POV operator and a Hamiltonian alike, with imaginary parts.
+COMPLEX_PLUS = 0.5 * np.array([[1.0, -1j], [1j, 1.0]])
+MODE_GATES = {
+    "Projector": lambda mode: Projector(COMPLEX_PLUS, mode=mode),
+    "DensityMatrix": lambda mode: DensityMatrix(COMPLEX_PLUS, mode=mode),
+    "PovOperator": lambda mode: PovOperator(COMPLEX_PLUS, mode=mode),
+    "Hamiltonian": lambda mode: Hamiltonian(COMPLEX_PLUS, mode=mode),
+    "enforce_reality": lambda mode: enforce_reality(mode, COMPLEX_PLUS),
+}
+
+
+@pytest.mark.parametrize("gate", MODE_GATES.values(), ids=MODE_GATES.keys())
+@pytest.mark.parametrize(
+    "mode, refusal",
+    [
+        ("real", NotRealError),
+        ("complex", None),
+        (5, 'mode must be a RealityMode, "complex" or "real", got 5'),
+        (None, 'mode must be a RealityMode, "complex" or "real", got None'),
+    ],
+)
+def test_a_mode_is_read_as_a_reality_mode_and_anything_else_is_refused(gate, mode, refusal):
+    if refusal is None:
+        gate(mode)
+    elif refusal is NotRealError:
+        with pytest.raises(NotRealError):
+            gate(mode)
+    else:
+        with pytest.raises(ValidationError) as info:
+            gate(mode)
+        assert str(info.value) == refusal
+
+
 # --- trace rule ---
 
 

@@ -254,6 +254,24 @@ def test_sample_measurement_refuses_labels_that_are_no_collection():
     assert str(info.value) == "labels must be a collection of labels, got int"
 
 
+
+@pytest.mark.parametrize(
+    "partition, message",
+    [
+        (5, "partition must be an iterable of Projectors, got int"),
+        (None, "partition must be an iterable of Projectors, got NoneType"),
+        ([np.eye(2)], "partition entry 0 must be a Projector, got ndarray"),
+        ([Projector(np.diag([1.0, 0.0])), np.diag([0.0, 1.0])], "partition entry 1 must be a Projector, got ndarray"),
+        ("ab", "partition entry 0 must be a Projector, got str"),
+    ],
+    ids=["int", "none", "array", "array-after-a-projector", "str"],
+)
+def test_sample_measurement_refuses_a_partition_that_is_no_iterable_of_projectors(partition, message):
+    with pytest.raises(ValidationError) as info:
+        sample_measurement(partition, DensityMatrix(PLUS_STATE), 10, 0)
+    assert str(info.value) == message
+
+
 # --- the multinomial draw against the literal O(N) samplers ---
 
 LAW_SEEDS = 200

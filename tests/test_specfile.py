@@ -71,6 +71,27 @@ def test_the_collector_is_paused_while_matrices_are_built(tmp_path, collector_st
     assert gc.isenabled()
 
 
+def test_a_path_that_is_no_str_bytes_or_path_like_is_refused_before_anything_is_opened():
+    read_end, write_end = os.pipe()
+    content = json.dumps(SPECS["accepted"][0]).encode()
+    os.write(write_end, content)
+    os.close(write_end)
+    try:
+        for path in (read_end, None):
+            with pytest.raises(ValidationError) as info:
+                load_system_spec(path)
+            assert str(info.value) == f"spec path must be a str, bytes or os.PathLike, got {type(path).__name__}"
+        assert os.read(read_end, len(content) + 1) == content  # the descriptor was neither read nor closed
+    finally:
+        os.close(read_end)
+
+
+def test_a_path_may_be_a_str_bytes_or_path_like(tmp_path):
+    path = _write(tmp_path, SPECS["accepted"][0])
+    for given in (path, os.fsencode(path), Path(path)):
+        assert load_system_spec(given).dim == 2
+
+
 def test_dimension_mismatch_names_each_dimension_once(tmp_path):
     spec = {
         "cycle": {"n": 2, "schedule": [[1, 1.0], [2, 1.0]]},

@@ -16,6 +16,7 @@ from helpers import (
     random_hermitian,
     random_projector,
     sector_sum,
+    spectral_projectors,
 )
 from traceprob import (
     DensityMatrix,
@@ -37,7 +38,7 @@ from traceprob import (
     trace_prob,
 )
 from traceprob.cli import main
-from traceprob.superselect import COMPLIANCE_TOL, EnergyBlocks, pinch
+from traceprob.superselect import COMPLIANCE_TOL, pinch
 
 PLUS_STATE = np.full((2, 2), 0.5)
 
@@ -135,10 +136,11 @@ def test_evolve_takes_a_huge_time_whose_phase_is_finite(energy, t):
 
 
 def test_energy_blocks_degenerate_pair():
-    blocks = energy_blocks(Hamiltonian(np.diag([0.0, 0.0, 5.0])))
+    h = Hamiltonian(np.diag([0.0, 0.0, 5.0]))
+    blocks = energy_blocks(h)
     assert blocks.clusters == ((0, 1), (2,))
     assert blocks.count == 2
-    np.testing.assert_allclose(blocks.projectors[0], np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(spectral_projectors(h)[0], np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
 def test_energy_blocks_distinct_spectrum():
@@ -148,9 +150,10 @@ def test_energy_blocks_distinct_spectrum():
 
 
 def test_energy_blocks_zero_hamiltonian():
-    blocks = energy_blocks(Hamiltonian(np.zeros((3, 3))))
+    h = Hamiltonian(np.zeros((3, 3)))
+    blocks = energy_blocks(h)
     assert blocks.count == 1
-    np.testing.assert_allclose(blocks.projectors[0], np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(spectral_projectors(h)[0], np.eye(3), atol=1e-12)
 
 
 def test_energy_blocks_resolution_of_identity():
@@ -158,12 +161,13 @@ def test_energy_blocks_resolution_of_identity():
     for _ in range(20):
         n = int(rng.integers(2, 7))
         h = random_hamiltonian(rng, n)
-        blocks = energy_blocks(h)
-        total = sum(blocks.projectors)
+        projectors = spectral_projectors(h)
+        assert len(projectors) == energy_blocks(h).count
+        total = sum(projectors)
         assert max_abs(total - np.eye(n)) <= 1e-9
-        for i in range(blocks.count):
-            for j in range(i + 1, blocks.count):
-                assert max_abs(blocks.projectors[i] @ blocks.projectors[j]) <= 1e-9
+        for i in range(len(projectors)):
+            for j in range(i + 1, len(projectors)):
+                assert max_abs(projectors[i] @ projectors[j]) <= 1e-9
 
 
 def test_energy_blocks_cluster_gaps_exceed_tol():
@@ -295,7 +299,7 @@ def test_compliance_rejects_cross_energy_projector():
 def test_compliance_of_spectral_projectors():
     rng = np.random.default_rng(59)
     h = Hamiltonian(random_hermitian(rng, 5))
-    for pi in energy_blocks(h).projectors:
+    for pi in spectral_projectors(h):
         assert is_superselection_compliant(Projector(pi), h)
 
 
@@ -309,7 +313,7 @@ def test_compliant_probabilities_are_time_independent():
         keep = rng.integers(0, 2, size=blocks.count)
         if not keep.any():
             keep[0] = 1
-        p = Projector(sum(pi for pi, k in zip(blocks.projectors, keep) if k))
+        p = Projector(sum(pi for pi, k in zip(spectral_projectors(h), keep) if k))
         assert is_superselection_compliant(p, h)
         baseline = trace_prob(p, dephase(rho, h))
         for t in rng.uniform(0.0, 50.0, size=5):
@@ -326,16 +330,16 @@ def test_pinching_matches_sector_sum(n):
     blocks = energy_blocks(h)
     assert max(len(c) for c in blocks.clusters) > 1
     rho = random_density(rng, n)
-    assert max_abs(dephase(rho, h).mat - sector_sum(rho.mat, h, blocks.clusters)) <= 1e-12
+    assert max_abs(dephase(rho, h).mat - sector_sum(rho.mat, h)) <= 1e-12
     in_sector = blocks.basis[:, list(blocks.clusters[0][:1])]
     candidates = [
-        Projector(sum(blocks.projectors[::2])),  # whole sectors
+        Projector(sum(spectral_projectors(h)[::2])),  # whole sectors
         Projector(in_sector @ in_sector.conj().T),  # part of one sector
         random_projector(rng, n, rank=n // 2),  # across sectors
     ]
     verdicts = []
     for p in candidates:
-        literal = sector_sum(p.mat, h, blocks.clusters)
+        literal = sector_sum(p.mat, h)
         assert max_abs(pinch(p.mat, blocks) - literal) <= 1e-12
         verdict = is_superselection_compliant(p, h)
         assert verdict == (max_abs(literal - p.mat) <= COMPLIANCE_TOL)
@@ -358,42 +362,6 @@ def test_energy_blocks_labels_and_basis():
     assert blocks.basis is h.eig.eigenvectors
     with pytest.raises(ValueError):
         blocks.labels[0] = 1
-
-
-def test_projectors_are_read_only_and_cached():
-    blocks = energy_blocks(Hamiltonian(np.diag([0.0, 0.0, 1.0])))
-    assert blocks.projectors is blocks.projectors
-    for pi in blocks.projectors:
-        with pytest.raises(ValueError):
-            pi[0, 0] = 7.0
-
-
-def test_dephase_and_compliance_build_no_projectors(monkeypatch, tmp_path, capsys):
-    built = []
-    lazy = EnergyBlocks.projectors
-
-    def counting(self):
-        built.append(1)
-        return lazy.func(self)
-
-    monkeypatch.setattr(EnergyBlocks, "projectors", property(counting))
-    rng = np.random.default_rng(63)
-    h = degenerate_hamiltonian(rng, 6)
-    rho = random_density(rng, 6)
-    dephase(rho, h)
-    is_superselection_compliant(random_projector(rng, 6), h)
-    spec = tmp_path / "system.json"
-    obj = {
-        "rho": matrix_to_rows(rho.mat),
-        "hamiltonian": matrix_to_rows(h.mat),
-        "projectors": {"p": matrix_to_rows(np.eye(6))},
-    }
-    spec.write_text(json.dumps(obj), encoding="utf-8")
-    assert main(["quantum", "--spec", str(spec), "--json"]) == 0
-    capsys.readouterr()
-    assert built == []
-    energy_blocks(h).projectors
-    assert built == [1]
 
 
 @pytest.mark.parametrize("n", [128, 256])

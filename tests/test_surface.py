@@ -5,25 +5,45 @@ Names whose only users are unit tests belong in ``tests/helpers.py`` as
 oracles, not in ``traceprob.__all__``. That list is derived from the package's
 imports, so a star import binds it and nothing else. Importing the package
 loads no third-party package but its two declared dependencies.
+
+The same rule holds for the public methods and properties of the public
+classes: each must be read as an attribute by those sources. The scan goes by
+name, not by type, so a member is counted as read when any object's attribute
+of that name is read. It could not tell that ``EnergyBlocks.projectors`` was
+read only by tests, because ``spec.projectors`` has the same name.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import os
 import subprocess
 import sys
 from pathlib import Path
-from types import ModuleType
+from types import FunctionType, ModuleType
 
 import traceprob
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# The library's modules but ``__init__``, the benchmark's, and the acceptance gate.
+SOURCES = [
+    *(p for p in sorted((ROOT / "src" / "traceprob").glob("*.py")) if p.name != "__init__.py"),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
+_MEMBER_KINDS = (FunctionType, property, functools.cached_property, classmethod, staticmethod)
+
+
+def _nodes(path: Path):
+    return ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
 def _used_names(path: Path) -> set[str]:
     used = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in _nodes(path):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -33,12 +53,31 @@ def _used_names(path: Path) -> set[str]:
     return used
 
 
+def _attributes_read(path: Path) -> set[str]:
+    return {node.attr for node in _nodes(path) if isinstance(node, ast.Attribute)}
+
+
+def _public_members(cls: type):
+    """``Class.member`` for each public method and property that ``cls`` defines
+    or inherits from a class of this package."""
+    for owner in cls.__mro__:
+        if owner.__module__.startswith("traceprob."):
+            for name, value in vars(owner).items():
+                if name[0] != "_" and isinstance(value, _MEMBER_KINDS):
+                    yield f"{cls.__name__}.{name}"
+
+
 def test_every_public_name_has_a_use():
-    sources = [p for p in sorted((ROOT / "src" / "traceprob").glob("*.py")) if p.name != "__init__.py"]
-    sources += sorted((ROOT / "perfbench").glob("*.py"))
-    sources.append(ROOT / "tests" / "test_acceptance.py")
-    used = set().union(*map(_used_names, sources))
+    used = set().union(*map(_used_names, SOURCES))
     assert [name for name in traceprob.__all__ if name != "__version__" and name not in used] == []
+
+
+def test_every_public_member_is_read():
+    read = set().union(*map(_attributes_read, SOURCES))
+    classes = [value for value in map(traceprob.__dict__.get, traceprob.__all__) if isinstance(value, type)]
+    members = [member for cls in classes for member in _public_members(cls)]
+    assert {"ClassicalCycle.state_at", "Projector.dim"} <= set(members)  # a method, and an inherited property
+    assert [member for member in members if member.rpartition(".")[2] not in read] == []
 
 
 def test_star_import_binds_exactly_the_derived_surface():
