@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .matcore import _FloatOverflow, _integer, _real, _time, fsum, same_dim
+from .matcore import _FloatOverflow, _integer, _operand, _real, _time, fsum, same_dim
 
 FRACTION_SUM_TOL = 1e-9
 MISSING_SHOWN = 10  # missing states named in a refusal
@@ -185,6 +185,8 @@ def char_and(s: PerceptionSet, s2: PerceptionSet) -> PerceptionSet:
 
 def classical_prob(s: PerceptionSet, f: FractionVector) -> float:
     """Probability of the set: sum of the fractions of its members."""
+    _operand(s, PerceptionSet, "set")
+    _operand(f, FractionVector, "fractions")
     same_dim("set", s.n, "fractions", f.n)
     return math.fsum(c * x for c, x in zip(s.chi, f.f))
 

@@ -258,34 +258,37 @@ def render_sample(spec: SystemSpec, payload: dict) -> str:
 
 def cmd_check(spec: SystemSpec, args) -> dict:
     """Run every subcommand whose fields the spec has, ``sample`` at its
-    defaults, and drop their payloads; the first refusal names its subcommand."""
+    defaults, and keep their payloads; the first refusal names its subcommand.
+    With a hamiltonian and projectors, ``compliant`` holds each projector's sector compliance."""
     run_args = argparse.Namespace(**vars(args), n=SAMPLE_N, seed=SAMPLE_SEED)
+    ran = {}
     for command in _READS:
         if _lacks(spec, command) is None:
             try:
                 with located(command):
-                    _COMMANDS[command](spec, run_args)
+                    ran[command] = _COMMANDS[command](spec, run_args)
             except NotAPartitionError:  # projectors that are no partition are quantum input only
                 if partition_refusal([lp.projector for lp in spec.projectors], spec.rho.dim) is None:
                     raise  # a partition's refusal, of its outcome weights, stands
     names = ("cycle", "rho", "hamiltonian", "projectors", "algebra")
     fields = [name for name in names if getattr(spec, name) not in (None, ())]
-    return {"ok": True, "fields": fields, "dim": spec.dim, "reality_mode": spec.mode.value}
+    payload = {"ok": True, "fields": fields, "dim": spec.dim, "reality_mode": spec.mode.value}
+    if "quantum" in ran and spec.hamiltonian is not None:  # quantum computed each verdict
+        payload["compliant"] = {e["label"]: e["compliant"] for e in ran["quantum"]["projectors"]}
+    elif (h := spec.hamiltonian) is not None and spec.projectors:  # without rho, quantum did not run
+        payload["compliant"] = {lp.label: is_superselection_compliant(lp.projector, h) for lp in spec.projectors}
+    return payload
 
 
 def render_check(spec: SystemSpec, payload: dict) -> str:
-    """The payload's fields, then each projector's sector compliance. Only the text
-    shows compliance, though ``check`` also computes it, in ``quantum``, when rho is present."""
     fields, dim = payload["fields"], payload["dim"]
     lines = [
         f"fields: {', '.join(fields) if fields else '(none)'}",
         f"dimension: {dim if dim is not None else '(none)'}",
         f"reality mode: {payload['reality_mode']}",
     ]
-    if spec.hamiltonian is not None and spec.projectors:
-        for lp in spec.projectors:
-            ok = is_superselection_compliant(lp.projector, spec.hamiltonian)
-            lines.append(f"projector {lp.label!r} superselection-compliant: {'yes' if ok else 'no'}")
+    for label, ok in payload.get("compliant", {}).items():
+        lines.append(f"projector {label!r} superselection-compliant: {'yes' if ok else 'no'}")
     lines.append("all validations passed")
     return "\n".join(lines)
 

@@ -8,7 +8,7 @@ pass at tolerance ``tol`` when at most ``tol * max(1, |a|_max)``, with
 and the smallest eigenvalue are held to ``tol`` and ``-tol`` themselves.
 A tolerance is a finite real > 0; any other is refused. The default
 tolerance is robust for double precision at the dimensions this package
-targets, and is tested at n <= 256.
+targets, and is tested at n <= 1024.
 
 The Hermiticity and idempotency defects and the smallest eigenvalue have a
 fast path for a real diagonal matrix (every off-diagonal entry and every
@@ -251,10 +251,19 @@ def _real(x, what: str) -> float:
 
 
 def _tol(x, what: str = "tol") -> float:
-    """``x`` as a tolerance: a finite real > 0."""
+    """``x`` as a tolerance: a finite real > 0, and not a bool, which ``_real`` reads as 0 or 1."""
+    if isinstance(x, bool):
+        raise ValidationError(f"{what} must be a real number, got bool")
     if not (math.isfinite(tol := _real(x, what)) and tol > 0.0):
         raise ValidationError(f"{what} must be finite and > 0, got {tol!r}")
     return tol
+
+
+def _operand(x, cls: type, what: str) -> None:
+    """The gate on each operand of a public function, before any attribute of it is read:
+    ``x`` must be a ``cls``."""
+    if not isinstance(x, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, got {type(x).__name__}")
 
 
 def _time(t) -> float:

@@ -26,7 +26,7 @@ from .errors import (
     ZeroConditionMeasureError,
     ZeroTotalMeasureError,
 )
-from .matcore import DEFAULT_TOL, _labels, fsum, is_hermitian, min_eigenvalue, same_dim
+from .matcore import DEFAULT_TOL, _labels, _operand, fsum, is_hermitian, min_eigenvalue, same_dim
 from .matcore import matrix_from_rows  # noqa: F401  (perfbench/tracer.py wraps measure.matrix_from_rows)
 from .quantum import PROB_SLACK, DensityMatrix, Operator, RealityMode, Sealed, bounded, enforce_reality
 
@@ -167,6 +167,8 @@ def measure_of(alg: PerceptionAlgebra, s: Iterable[str], rho: DensityMatrix) -> 
     call costs O(|S|) once that vector exists and no operator is summed or
     re-validated.
     """
+    _operand(alg, PerceptionAlgebra, "algebra")
+    _operand(rho, DensityMatrix, "density")
     e, _ = alg._expectations(rho)
     return bounded(fsum([e[label] for label in _resolve_labels(alg, s)]), "measure", MEASURE_SLACK)
 

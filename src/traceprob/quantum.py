@@ -23,7 +23,7 @@ from .errors import (
     NumericalIntegrityError,
     ValidationError,
 )
-from .matcore import DEFAULT_TOL, UNITARY_TOL, as_matrix, is_density, is_projector, max_abs, same_dim
+from .matcore import DEFAULT_TOL, UNITARY_TOL, _operand, as_matrix, is_density, is_projector, max_abs, same_dim
 
 REAL_IMAG_TOL = 1e-12
 PROB_SLACK = 1e-9
@@ -135,6 +135,8 @@ def trace_prob(p: Projector, rho: DensityMatrix) -> float:
     The trace of a projector against a density matrix is analytically real
     and in [0, 1]; violations beyond 1e-9 raise, smaller ones are clamped.
     """
+    _operand(p, Projector, "projector")
+    _operand(rho, DensityMatrix, "density")
     same_dim("projector", p.dim, "density", rho.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or nan, refused below
         t = complex(np.dot(p.mat.ravel(), rho.mat.T.ravel()))

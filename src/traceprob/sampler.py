@@ -17,7 +17,7 @@ import numpy as np
 
 from .classical import ClassicalCycle, dwell_fractions
 from .errors import NotAPartitionError, ValidationError
-from .matcore import _integer, _labels, max_abs
+from .matcore import _integer, _labels, _operand, max_abs
 from .quantum import DensityMatrix, Projector, trace_prob
 
 PARTITION_TOL = 1e-9
@@ -86,6 +86,7 @@ def sample_classical(c: ClassicalCycle, n_samples: int, seed: int) -> SampleRepo
     so together they sum to 1 within a few ulps, inside numpy's 1e-12 check
     on the weights.
     """
+    _operand(c, ClassicalCycle, "cycle")
     n_samples, seed = _check_draw_args(n_samples, seed)
     fractions = dwell_fractions(c).f
     counts = np.random.default_rng(seed).multinomial(n_samples, fractions)
@@ -129,8 +130,7 @@ def sample_measurement(
     except TypeError:
         raise ValidationError(f"partition must be an iterable of Projectors, got {type(partition).__name__}") from None
     for i, p in enumerate(partition):
-        if not isinstance(p, Projector):
-            raise ValidationError(f"partition entry {i} must be a Projector, got {type(p).__name__}")
+        _operand(p, Projector, f"partition entry {i}")
     if labels is None:
         labels = [f"outcome-{k}" for k in range(1, len(partition) + 1)]
     labels = tuple(_labels(labels, "labels"))
@@ -156,6 +156,7 @@ def deviation_check(report: SampleReport) -> bool:
     The bound per outcome is SIGMA_MULTIPLIER * sqrt(p(1-p)/N) + 1/N, the
     extra 1/N covering the granularity of empirical frequencies.
     """
+    _operand(report, SampleReport, "report")
     n = report.total
     for freq, p in zip(report.empirical_freqs, report.expected_probs):
         bound = SIGMA_MULTIPLIER * math.sqrt(p * (1.0 - p) / n) + 1.0 / n

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .matcore import DEFAULT_TOL, _time, hermitian_eig, max_abs, same_dim
+from .matcore import DEFAULT_TOL, _operand, _time, hermitian_eig, max_abs, same_dim
 from .quantum import DensityMatrix, Operator, Projector, RealityMode, enforce_reality
 
 COMPLIANCE_TOL = 1e-9
@@ -100,6 +100,7 @@ def default_cluster_tol(h: Hamiltonian) -> float:
 
 def energy_blocks(h: Hamiltonian) -> EnergyBlocks:
     """The energy sectors of ``h``, clustered at :func:`default_cluster_tol` when ``h`` was built."""
+    _operand(h, Hamiltonian, "hamiltonian")
     return h._blocks
 
 
@@ -138,6 +139,8 @@ def dephase(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
     blocks. The result is block-diagonal across the energy sectors and has
     the same trace as rho.
     """
+    _operand(rho, DensityMatrix, "density")
+    _operand(h, Hamiltonian, "hamiltonian")
     same_dim("density", rho.dim, "hamiltonian", h.dim)
     return DensityMatrix(pinch(rho.mat, energy_blocks(h)))
 

@@ -594,6 +594,22 @@ def test_check_takes_the_partition_verdict_from_sample(tmp_path, capsys, monkeyp
     assert (got_code, got_err, len(seen)) == (code, err, calls)
 
 
+# generic.json has rho and 3 projectors, so quantum gives the verdicts; sectors.json
+# has 2 projectors and no rho, so no quantum, and check computes them itself.
+@pytest.mark.parametrize("stem, calls", [("generic", 3), ("sectors", 2)])
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_check_computes_each_compliance_verdict_once(tmp_path, capsys, monkeypatch, stem, calls, mode):
+    seen = []
+
+    def counted(p, h, test=cli.is_superselection_compliant):
+        seen.append(p)
+        return test(p, h)
+
+    monkeypatch.setattr(cli, "is_superselection_compliant", counted)
+    got_code, _, got_err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, GOLDEN_SPECS[stem]), *mode)
+    assert (got_code, got_err, len(seen)) == (0, "", calls)
+
+
 ALL_1E308_ROWS = matrix_to_rows(np.full((2, 2), 1e308))
 
 

@@ -57,7 +57,7 @@ CASES = [
     ("real", "check", []),
     ("measure", "measure", []),
     ("measure", "check", []),
-    ("sectors", "check", []),  # no rho: only the text's compliance lines evaluate the projectors
+    ("sectors", "check", []),  # no rho, so no quantum: check computes the compliance verdicts itself
 ]
 
 
@@ -109,6 +109,16 @@ def test_golden_json_is_indented_dumps_byte_for_byte(case):
 def test_golden_text_output(case):
     want = (EXPECTED / f"{_case_id(case)}.txt").read_text(encoding="utf-8")
     assert _stdout(*case, as_json=False) == want
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c[1] == "check"], ids=_case_id)
+def test_check_text_prints_the_compliance_its_json_holds(case):
+    recorded = EXPECTED / _case_id(case)
+    verdicts = json.loads(recorded.with_suffix(".json").read_text(encoding="utf-8")).get("compliant", {})
+    lines = recorded.with_suffix(".txt").read_text(encoding="utf-8").splitlines()
+    assert [line for line in lines if "superselection-compliant" in line] == [
+        f"projector {label!r} superselection-compliant: {'yes' if ok else 'no'}" for label, ok in verdicts.items()
+    ]
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c[0] == "real"], ids=_case_id)

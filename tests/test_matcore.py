@@ -15,16 +15,20 @@ from traceprob import (
     NonFiniteError,
     NotHermitianError,
     PerceptionAlgebra,
+    PerceptionSet,
     PovOperator,
     Projector,
     RealityMode,
     ValidationError,
     as_matrix,
     classical_density,
+    classical_prob,
     commutes,
     dephase,
+    deviation_check,
     diag_projector,
     dwell_fractions,
+    energy_blocks,
     enforce_reality,
     evolve,
     hermitian_eig,
@@ -34,6 +38,7 @@ from traceprob import (
     matrix_from_rows,
     max_abs,
     measure_of,
+    sample_classical,
     trace,
     trace_prob,
     unitary_conjugate,
@@ -231,6 +236,7 @@ TOL_GATES = {
 BAD_TOLS = {
     "text": ("x", "tol must be a real number, got str"),
     "none": (None, "tol must be a real number, got NoneType"),
+    "bool": (True, "tol must be a real number, got bool"),
     "negative": (-1.0, "tol must be finite and > 0, got -1.0"),
     "zero": (0.0, "tol must be finite and > 0, got 0.0"),
     "nan": (float("nan"), "tol must be finite and > 0, got nan"),
@@ -417,6 +423,28 @@ def test_operands_of_different_dims_are_refused_naming_both(call, message):
     # is_superselection_compliant's wording is pinned in test_superselect.py.
     with pytest.raises(DimensionMismatchError) as info:
         call()
+    assert str(info.value) == message
+
+
+# An operand of another type, an array where an operator belongs included, is
+# refused by the one operand gate, naming the operand by its role.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: trace_prob(np.eye(2), HALF_2), "projector must be a Projector, got ndarray"),
+        (lambda: dephase(HALF_2, np.eye(2)), "hamiltonian must be a Hamiltonian, got ndarray"),
+        (lambda: energy_blocks(np.eye(2)), "hamiltonian must be a Hamiltonian, got ndarray"),
+        (lambda: classical_prob(PerceptionSet([1, 0]), [0.5, 0.5]), "fractions must be a FractionVector, got list"),
+        (lambda: measure_of(None, ["a"], HALF_2), "algebra must be a PerceptionAlgebra, got NoneType"),
+        (lambda: deviation_check(None), "report must be a SampleReport, got NoneType"),
+        (lambda: sample_classical(None, 10, 0), "cycle must be a ClassicalCycle, got NoneType"),
+    ],
+    ids=["trace-prob", "dephase", "energy-blocks", "classical-prob", "measure-of", "deviation-check", "sample-classical"],
+)
+def test_operands_of_another_type_are_refused_naming_their_role(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert type(info.value) is ValidationError
     assert str(info.value) == message
 
 

@@ -139,28 +139,31 @@ def test_construction_thresholds(cls, mat, mode, tol, expected):
     assert str(info.value) == message
 
 
-def _break_hermiticity(m, f, tol):
+# Each perturbation takes a valid matrix and its tolerance, and returns the
+# matrix moved to f times the bound, as a function of f; the work that does
+# not depend on f (an eigendecomposition at most) is done once.
+def _break_hermiticity(m, tol):
     """Add f times the Hermiticity bound to one off-diagonal entry."""
-    out = m.copy()
-    out[0, -1] += f * relative_bound(m, tol)
-    return out
+    corner = np.zeros_like(m)
+    corner[0, -1] = relative_bound(m, tol)
+    return lambda f: m + f * corner
 
 
-def _break_idempotency(m, f, tol):
+def _break_idempotency(m, tol):
     """Scale a projector by 1 + e so that |P^2 - P|_max = e (1 + e) |P|_max is f times tol."""
-    return m * (1.0 + f * tol / max_abs(m))
+    return lambda f: m * (1.0 + f * tol / max_abs(m))
 
 
-def _break_trace(m, f, tol):
-    return m + (f * tol / m.shape[0]) * np.eye(m.shape[0])
+def _break_trace(m, tol):
+    return lambda f: m + (f * tol / m.shape[0]) * np.eye(m.shape[0])
 
 
-def _break_positivity(m, f, tol):
+def _break_positivity(m, tol):
     """Move the lowest eigenvalue to -f tol, the difference onto the highest, so the trace holds."""
     values, vectors = np.linalg.eigh(m)
     low, high = vectors[:, :1], vectors[:, -1:]
-    shift = values[0] + f * tol
-    return m - shift * (low @ low.conj().T) + shift * (high @ high.conj().T)
+    move = high @ high.conj().T - low @ low.conj().T
+    return lambda f: m + (values[0] + f * tol) * move
 
 
 def _rank_deficient_density(rng, n):
@@ -185,19 +188,28 @@ LARGE_N_BOUNDS = [
 ]
 
 
-@pytest.mark.parametrize("n", [128, 256])
+# Every bound at n = 128 and 256; the idempotency and eigenvalue bounds, whose
+# defects come from an O(n^3) product and eigvalsh, at n = 1024 as well.
+LARGE_N_CASES = [(row, n) for row in LARGE_N_BOUNDS for n in (128, 256)] + [
+    (row, 1024) for row in LARGE_N_BOUNDS if row[0] in ("proj-idem", "rho-eig")
+]
+
+
 @pytest.mark.parametrize(
-    "cls,build,perturb,expected", [row[1:] for row in LARGE_N_BOUNDS], ids=[row[0] for row in LARGE_N_BOUNDS]
+    "cls,build,perturb,expected,n",
+    [(*row[1:], n) for row, n in LARGE_N_CASES],
+    ids=[f"{row[0]}-{n}" for row, n in LARGE_N_CASES],
 )
 def test_tolerance_contracts_at_large_n(n, cls, build, perturb, expected):
     rng = np.random.default_rng(n)
     tol = DEFAULT_TOL
     m = build(rng, n)
     assert cls(m).dim == n
-    assert cls(perturb(m, 0.5, tol)).dim == n
+    moved = perturb(m, tol)
+    assert cls(moved(0.5)).dim == n
     error, message = expected
     with pytest.raises(error) as info:
-        cls(perturb(m, 2.0, tol))
+        cls(moved(2.0))
     assert type(info.value) is error
     assert str(info.value).startswith(message)
 

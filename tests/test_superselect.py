@@ -11,6 +11,7 @@ from helpers import (
     averaged_evolution,
     degenerate_hamiltonian,
     matrix_to_rows,
+    random_basis,
     random_density,
     random_hamiltonian,
     random_hermitian,
@@ -301,6 +302,15 @@ def test_compliance_of_spectral_projectors():
     h = Hamiltonian(random_hermitian(rng, 5))
     for pi in spectral_projectors(h):
         assert is_superselection_compliant(Projector(pi), h)
+
+
+def test_compliance_of_whole_sectors_at_n_1024():
+    # 256 four-fold sectors in a random orthogonal basis; the projector spans the first 128 of them.
+    v = random_basis(np.random.default_rng(1024), 1024, real=True)
+    h = Hamiltonian((v * np.repeat(np.arange(256.0), 4)) @ v.conj().T)
+    assert energy_blocks(h).count == 256
+    half = v[:, :512]
+    assert is_superselection_compliant(Projector(half @ half.conj().T), h)
 
 
 def test_compliant_probabilities_are_time_independent():
