@@ -19,10 +19,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .matcore import _FloatOverflow, _integer, _operand, _real, _time, fsum, same_dim
+from .matcore import _FloatOverflow, _integer, _iterate, _operand, _real, _time, fsum, same_dim
 
 FRACTION_SUM_TOL = 1e-9
 MISSING_SHOWN = 10  # missing states named in a refusal
+MAX_STEPS = np.iinfo(np.intp).max // 8  # the longest float array numpy can size
 
 
 def _first_bad_entry(entries: list) -> ValidationError:
@@ -73,7 +74,7 @@ class ClassicalCycle:
 
     def __init__(self, n: int, schedule: Iterable[Sequence]):
         n = _integer(n, "cycle n")
-        entries = list(schedule)
+        entries = list(_iterate(schedule, "schedule"))
         pairs: list[tuple] = []
         try:
             pairs.extend(map(tuple, entries))  # on failure the pairs made so far are kept for the scan
@@ -140,7 +141,7 @@ class PerceptionSet:
     chi: tuple[int, ...]
 
     def __init__(self, chi: Iterable):
-        values = tuple(chi)
+        values = tuple(_iterate(chi, "characteristic vector"))
         if not values:
             raise ValidationError("characteristic vector must have dimension >= 1")
         if not all(isinstance(c, (int, float, np.bool_, numbers.Real)) and c in (0, 1) for c in values):
@@ -162,7 +163,7 @@ class FractionVector:
     f: tuple[float, ...]
 
     def __init__(self, f: Iterable[float]):
-        values = tuple(_real(x, "fraction") for x in f)
+        values = tuple(_real(x, "fraction") for x in _iterate(f, "fractions"))
         if not values:
             raise ValidationError("fraction vector must have dimension >= 1")
         if any(not (math.isfinite(x) and x >= 0.0) for x in values):
@@ -179,6 +180,8 @@ class FractionVector:
 
 def char_and(s: PerceptionSet, s2: PerceptionSet) -> PerceptionSet:
     """Intersection: componentwise product of characteristic vectors."""
+    _operand(s, PerceptionSet, "set")
+    _operand(s2, PerceptionSet, "set")
     same_dim("set", s.n, "set", s2.n)
     return PerceptionSet(a * b for a, b in zip(s.chi, s2.chi))
 
@@ -193,11 +196,13 @@ def classical_prob(s: PerceptionSet, f: FractionVector) -> float:
 
 def diag_projector(s: PerceptionSet) -> np.ndarray:
     """Diagonal projection matrix whose diagonal is the characteristic vector."""
+    _operand(s, PerceptionSet, "set")
     return np.diag(np.array(s.chi, dtype=complex))
 
 
 def classical_density(f: FractionVector) -> np.ndarray:
     """Diagonal density matrix whose diagonal is the fraction vector."""
+    _operand(f, FractionVector, "fractions")
     return np.diag(np.array(f.f, dtype=complex))
 
 
@@ -207,9 +212,12 @@ def time_average_indicator(c: ClassicalCycle, steps: int) -> np.ndarray:
     Converges to ``classical_density(dwell_fractions(c))`` with max-entry
     error O(1/steps).
     """
+    _operand(c, ClassicalCycle, "cycle")
     steps = _integer(steps, "steps")
     if steps < 1:
         raise ValidationError("steps must be >= 1")
+    if steps > MAX_STEPS:  # np.arange would refuse it, or wrap it to an empty grid
+        raise ValidationError(f"steps must be <= {MAX_STEPS}")
     midpoints = (np.arange(steps, dtype=float) + 0.5) * (c.period / steps)
     states = c._states[c._dwell_indices(midpoints)]
     counts = np.bincount(states - 1, minlength=c.n)
@@ -222,6 +230,7 @@ def dwell_fractions(c: ClassicalCycle) -> FractionVector:
     Each state's durations are summed by ``math.fsum``, which is correctly
     rounded whatever the order, so grouping them by a sort changes no bit.
     """
+    _operand(c, ClassicalCycle, "cycle")
     order = np.argsort(c._states, kind="stable")
     by_state = c._durations[order].tolist()
     ends = np.searchsorted(c._states[order], np.arange(1, c.n + 1), side="right").tolist()

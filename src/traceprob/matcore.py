@@ -75,7 +75,10 @@ def same_dim(a_name: str, a_dim: int, b_name: str, b_dim: int) -> None:
 
 def max_abs(a) -> float:
     """Largest entry magnitude (the max-norm used by all tolerance checks)."""
-    return float(np.max(np.abs(np.asarray(a))))
+    try:
+        return float(np.max(np.abs(np.asarray(a))))
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"max_abs needs a nonempty array of numbers, got {type(a).__name__}") from None
 
 
 def fsum(values) -> float:
@@ -273,14 +276,19 @@ def _time(t) -> float:
     return t
 
 
+def _iterate(x, what: str, kind: str = "an iterable"):
+    """An iterator over ``x``; a non-iterable is refused as not ``kind``."""
+    try:
+        return iter(x)
+    except TypeError:
+        raise ValidationError(f"{what} must be {kind}, got {type(x).__name__}") from None
+
+
 def _labels(s, what: str):
     """An iterator over ``s``, a collection of labels: any iterable but a str."""
     if isinstance(s, str):
         raise ValidationError(f"{what} must be a collection of labels, not a str")
-    try:
-        return iter(s)
-    except TypeError:
-        raise ValidationError(f"{what} must be a collection of labels, got {type(s).__name__}") from None
+    return _iterate(s, what, "a collection of labels")
 
 
 def _first_bad_entry(rows) -> ValidationError:

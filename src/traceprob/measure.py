@@ -115,7 +115,7 @@ class PerceptionAlgebra(Sealed):
     def atom(self, label: str) -> PovOperator:
         try:
             return self._atoms[label]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable label names no atom either
             raise UnknownLabelError(f"unknown atom label {label!r}") from None
 
     def _expectations(self, rho: DensityMatrix) -> tuple[dict[str, float], float]:
@@ -151,6 +151,7 @@ def _resolve_labels(alg: PerceptionAlgebra, s: Iterable[str]) -> set[str]:
 
 def union_operator(alg: PerceptionAlgebra, s: Iterable[str]) -> PovOperator:
     """Sum of the atom operators of ``s``; the empty set gives the zero operator."""
+    _operand(alg, PerceptionAlgebra, "algebra")
     labels = _resolve_labels(alg, s)
     zero = np.zeros((alg.dim, alg.dim), dtype=complex)
     with np.errstate(over="ignore"):  # an overflow reads as inf, which PovOperator refuses
@@ -175,6 +176,8 @@ def measure_of(alg: PerceptionAlgebra, s: Iterable[str], rho: DensityMatrix) -> 
 
 def total_measure(alg: PerceptionAlgebra, rho: DensityMatrix) -> float:
     """Measure of the full perception set (all atoms)."""
+    _operand(alg, PerceptionAlgebra, "algebra")
+    _operand(rho, DensityMatrix, "density")
     return bounded(alg._expectations(rho)[1], "measure", MEASURE_SLACK)
 
 
@@ -190,6 +193,7 @@ def conditional_prob(
     alg: PerceptionAlgebra, s_sub: Iterable[str], m_sub: Iterable[str], rho: DensityMatrix
 ) -> float:
     """Conditional probability measure(S') / measure(M') for S' inside M', clamped to [0, 1]."""
+    _operand(alg, PerceptionAlgebra, "algebra")
     s_labels = _resolve_labels(alg, s_sub)
     m_labels = _resolve_labels(alg, m_sub)
     if not s_labels <= m_labels:

@@ -162,6 +162,8 @@ def unitary_conjugate(u, a) -> np.ndarray:
 
 def check_invariance(p: Projector, rho: DensityMatrix, u) -> float:
     """|tr(p rho) - tr(p~ rho~)| after conjugating both by ``u``; <= 1e-9 always."""
+    _operand(p, Projector, "projector")
+    _operand(rho, DensityMatrix, "density")
     p_tilde = Projector(unitary_conjugate(u, p.mat))
     rho_tilde = DensityMatrix(unitary_conjugate(u, rho.mat))
     return abs(trace_prob(p, rho) - trace_prob(p_tilde, rho_tilde))
@@ -185,6 +187,8 @@ def projector_meet(p: Projector, q: Projector) -> Projector:
     For non-commuting projectors the product is not a projection operator,
     so the meet is refused with NonCommutingError rather than returned.
     """
+    _operand(p, Projector, "projector")
+    _operand(q, Projector, "projector")
     if not commutes(p.mat, q.mat):
         raise NonCommutingError("projectors do not commute; their product is not a projection operator")
     return Projector(p.mat @ q.mat)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .classical import ClassicalCycle, dwell_fractions
 from .errors import NotAPartitionError, ValidationError
-from .matcore import _integer, _labels, _operand, max_abs
+from .matcore import _integer, _iterate, _labels, _operand, max_abs
 from .quantum import DensityMatrix, Projector, trace_prob
 
 PARTITION_TOL = 1e-9
@@ -124,11 +124,9 @@ def sample_measurement(
     probabilities, normalized, are then the multinomial weights of the
     counts. Weight sums off 1 by more than 1e-9 are refused.
     """
+    _operand(rho, DensityMatrix, "density")
     n_samples, seed = _check_draw_args(n_samples, seed)
-    try:
-        partition = tuple(partition)
-    except TypeError:
-        raise ValidationError(f"partition must be an iterable of Projectors, got {type(partition).__name__}") from None
+    partition = tuple(_iterate(partition, "partition", "an iterable of Projectors"))
     for i, p in enumerate(partition):
         _operand(p, Projector, f"partition entry {i}")
     if labels is None:

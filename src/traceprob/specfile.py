@@ -128,17 +128,13 @@ def _parse_cycle(obj) -> ClassicalCycle:
     return ClassicalCycle(n, schedule)
 
 
-def load_system_spec(
-    path: str | bytes | os.PathLike,
-    mode_override: RealityMode | None = None,
-    tol: float = DEFAULT_TOL,
-) -> SystemSpec:
+def load_system_spec(path: str | bytes | os.PathLike, tol: float = DEFAULT_TOL) -> SystemSpec:
     """Read and validate a system description file.
 
     `path` is a str, bytes or os.PathLike; anything else is refused before
     anything is opened, so an int is never read as a file descriptor.
-    `mode_override` forces the reality mode regardless of the file's own
-    "reality_mode" key; `tol` is handed to every matrix-class validation.
+    The reality mode is the file's "reality_mode" key ("complex" when absent);
+    `tol` is handed to every matrix-class validation.
 
     The file is read once, as bytes, and decoded by orjson. The ``json``
     module is the reference decoder: when orjson refuses the bytes, or the
@@ -162,10 +158,10 @@ def load_system_spec(
         with _decoding(path), open(path, "rb") as fh:
             data = fh.read()
         try:
-            return _spec_from_obj(orjson.loads(data), mode_override, tol)
+            return _spec_from_obj(orjson.loads(data), tol)
         except (orjson.JSONDecodeError, RecursionError, TraceProbError):
             pass  # json decides, and words, every refusal
-        return _spec_from_obj(_decode(path, data), mode_override, tol)
+        return _spec_from_obj(_decode(path, data), tol)
     finally:
         if collecting:
             gc.enable()
@@ -191,7 +187,7 @@ def _decoding(path: str):
         raise SpecParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _spec_from_obj(obj, mode_override: RealityMode | None, tol: float) -> SystemSpec:
+def _spec_from_obj(obj, tol: float) -> SystemSpec:
     if not isinstance(obj, dict):
         raise SpecParseError("top level of a system file must be a JSON object")
     known = {"cycle", "rho", "hamiltonian", "projectors", "algebra", "reality_mode"}
@@ -199,15 +195,12 @@ def _spec_from_obj(obj, mode_override: RealityMode | None, tol: float) -> System
     if extra:
         raise SpecParseError(f"unknown keys: {reprlib.repr(sorted(extra))}")
 
-    if mode_override is not None:
-        mode = mode_override
-    else:
-        raw_mode = obj.get("reality_mode", "complex")
-        try:
-            mode = RealityMode(raw_mode)
-        except ValueError:
-            shown = reprlib.repr(raw_mode) if isinstance(raw_mode, str) else type(raw_mode).__name__
-            raise SpecParseError(f'reality_mode must be "complex" or "real", got {shown}') from None
+    raw_mode = obj.get("reality_mode", "complex")
+    try:
+        mode = RealityMode(raw_mode)
+    except ValueError:
+        shown = reprlib.repr(raw_mode) if isinstance(raw_mode, str) else type(raw_mode).__name__
+        raise SpecParseError(f'reality_mode must be "complex" or "real", got {shown}') from None
 
     cycle = _parse_cycle(obj["cycle"]) if "cycle" in obj else None
 

@@ -95,6 +95,7 @@ class EnergyBlocks:
 
 def default_cluster_tol(h: Hamiltonian) -> float:
     """Near-degeneracy tolerance of the energy sectors: 1e-8 * max(1, |E|_max)."""
+    _operand(h, Hamiltonian, "hamiltonian")
     return 1e-8 * max(1.0, float(np.max(np.abs(h.energies))))
 
 
@@ -120,6 +121,8 @@ def pinch(x: np.ndarray, blocks: EnergyBlocks) -> np.ndarray:
 
 def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
     """Conjugate rho by U(t) = V diag(exp(-i E t)) V^dagger; t is a finite real, as in ``state_at``."""
+    _operand(rho, DensityMatrix, "density")
+    _operand(h, Hamiltonian, "hamiltonian")
     same_dim("density", rho.dim, "hamiltonian", h.dim)
     t = _time(t)
     with np.errstate(over="ignore"):  # a phase beyond the float range reads as inf, refused below
@@ -154,5 +157,7 @@ def is_superselection_compliant(p: Projector, h: Hamiltonian) -> bool:
     projectors give probabilities that do not depend on the unperceived
     time: tr(p, evolve(rho, h, t)) is constant in t.
     """
+    _operand(p, Projector, "projector")
+    _operand(h, Hamiltonian, "hamiltonian")
     same_dim("projector", p.dim, "hamiltonian", h.dim)
     return max_abs(pinch(p.mat, energy_blocks(h)) - p.mat) <= COMPLIANCE_TOL

@@ -610,6 +610,24 @@ def test_check_computes_each_compliance_verdict_once(tmp_path, capsys, monkeypat
     assert (got_code, got_err, len(seen)) == (0, "", calls)
 
 
+# With projectors, quantum dephases rho and check skips dephase; with rho and
+# a hamiltonian alone, quantum does not run and dephase makes the one call.
+@pytest.mark.parametrize("stem", ["generic", "degenerate", "real", "rho-and-hamiltonian"])
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_check_dephases_rho_once(tmp_path, capsys, monkeypatch, stem, mode):
+    seen = []
+
+    def counted(rho, h, dephase=cli.dephase):
+        seen.append(rho)
+        return dephase(rho, h)
+
+    monkeypatch.setattr(cli, "dephase", counted)
+    generic = GOLDEN_SPECS["generic"]
+    obj = GOLDEN_SPECS.get(stem) or {"rho": generic["rho"], "hamiltonian": generic["hamiltonian"]}
+    got_code, _, got_err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, obj), *mode)
+    assert (got_code, got_err, len(seen)) == (0, "", 1)
+
+
 ALL_1E308_ROWS = matrix_to_rows(np.full((2, 2), 1e308))
 
 
@@ -695,15 +713,13 @@ def test_dimension_mismatch_across_fields(tmp_path, capsys):
     assert err.startswith("error[SpecParse]")
 
 
-def test_real_flag_rejects_complex_input(tmp_path, capsys):
-    complex_rho = matrix_to_rows(0.5 * np.array([[1.0, -1j], [1j, 1.0]]))
-    spec = write_spec(tmp_path, {"rho": complex_rho, "projectors": {"up": DIAG_10_ROWS}})
-    code, _, err = run_cli(capsys, "quantum", "--spec", spec, "--real")
-    assert code == 1
-    assert err.startswith("error[NotReal]")
-    # without the flag the same file is fine
-    code, _, err = run_cli(capsys, "quantum", "--spec", spec)
-    assert code == 0
+def test_real_flag_is_not_an_option(tmp_path, capsys):
+    # The file's "reality_mode" key is the one switch for real mode.
+    spec = write_spec(tmp_path, {"rho": PLUS_ROWS, "projectors": {"up": DIAG_10_ROWS}})
+    with pytest.raises(SystemExit) as exc:
+        main(["quantum", "--spec", spec, "--real"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error[Usage]: unrecognized arguments: --real\n")
 
 
 def test_reality_mode_key_in_file(tmp_path, capsys):
@@ -726,6 +742,10 @@ def test_invalid_reality_mode_value(tmp_path, capsys):
 @pytest.mark.parametrize(
     "obj, message",
     [
+        (
+            {"reality_mode": 5, "rho": PLUS_ROWS},
+            'error[SpecParse]: reality_mode must be "complex" or "real", got int\n',
+        ),
         (
             {"reality_mode": [[[0.5, 0.0]] * 40] * 40, "rho": PLUS_ROWS},
             'error[SpecParse]: reality_mode must be "complex" or "real", got list\n',
@@ -763,6 +783,7 @@ def test_invalid_reality_mode_value(tmp_path, capsys):
         ),
     ],
     ids=[
+        "mode-int",
         "mode-matrix",
         "mode-long-string",
         "state-400-digits",

@@ -65,12 +65,11 @@ def _case_id(case) -> str:
     return f"{case[0]}-{case[1]}"
 
 
-def _stdout(stem: str, command: str, extra: list[str], as_json: bool, spec: Path | None = None) -> str:
-    """The output of the case, run on ``spec`` in place of its own spec file when given."""
+def _stdout(stem: str, command: str, extra: list[str], as_json: bool) -> str:
     buf = io.StringIO()
     mode = ["--json"] if as_json else []
     with contextlib.redirect_stdout(buf):
-        code = main([command, "--spec", str(spec or GOLDEN / f"{stem}.json"), *mode, *extra])
+        code = main([command, "--spec", str(GOLDEN / f"{stem}.json"), *mode, *extra])
     assert code == 0, f"{command} on {stem}.json exited {code}"
     return buf.getvalue()
 
@@ -119,24 +118,6 @@ def test_check_text_prints_the_compliance_its_json_holds(case):
     assert [line for line in lines if "superselection-compliant" in line] == [
         f"projector {label!r} superselection-compliant: {'yes' if ok else 'no'}" for label, ok in verdicts.items()
     ]
-
-
-@pytest.mark.parametrize("case", [c for c in CASES if c[0] == "real"], ids=_case_id)
-def test_the_real_flag_stands_for_the_files_reality_mode_key(case, tmp_path):
-    # real.json with its "reality_mode": "real" key taken out, run with --real
-    obj = json.loads((GOLDEN / "real.json").read_text(encoding="utf-8"))
-    assert obj.pop("reality_mode") == "real"
-    spec = tmp_path / "real.json"
-    spec.write_text(json.dumps(obj), encoding="utf-8")
-    stem, command, extra = case
-    flagged = (stem, command, [*extra, "--real"])
-    recorded = EXPECTED / _case_id(case)
-    assert _stdout(*flagged, as_json=False, spec=spec) == recorded.with_suffix(".txt").read_text(encoding="utf-8")
-    # The recorded floats' last bits depend on the BLAS build, so --json is held
-    # byte for byte to the run on the file itself, and to the record as the corpus is.
-    out = _stdout(*flagged, as_json=True, spec=spec)
-    assert out == _stdout(*case, as_json=True)
-    _assert_matches(json.loads(out), json.loads(recorded.with_suffix(".json").read_text(encoding="utf-8")))
 
 
 def test_golden_corpus_is_complete():

@@ -9,7 +9,9 @@ import pytest
 
 from helpers import matrix_to_rows, random_basis, random_cycle, random_hermitian, random_projector, random_subset
 from traceprob import (
+    ClassicalCycle,
     DensityMatrix,
+    FractionVector,
     DimensionMismatchError,
     Hamiltonian,
     NonFiniteError,
@@ -21,9 +23,13 @@ from traceprob import (
     RealityMode,
     ValidationError,
     as_matrix,
+    char_and,
+    check_invariance,
     classical_density,
     classical_prob,
     commutes,
+    conditional_prob,
+    default_cluster_tol,
     dephase,
     deviation_check,
     diag_projector,
@@ -35,15 +41,23 @@ from traceprob import (
     is_density,
     is_hermitian,
     is_projector,
+    is_superselection_compliant,
     matrix_from_rows,
     max_abs,
     measure_of,
+    normalized_prob,
+    projector_meet,
     sample_classical,
+    sample_measurement,
+    time_average_indicator,
+    total_measure,
     trace,
     trace_prob,
+    union_operator,
     unitary_conjugate,
 )
 from traceprob import matcore
+from traceprob.classical import MAX_STEPS
 from traceprob.matcore import hermiticity_defect, idempotency_defect, min_eigenvalue
 
 
@@ -402,7 +416,10 @@ def test_overflowing_defects_refuse_without_a_warning(m):
 
 
 HALF_2 = DensityMatrix(np.eye(2) / 2)
+ZERO_H_2 = Hamiltonian(np.zeros((2, 2)))
 ZERO_H_3 = Hamiltonian(np.zeros((3, 3)))
+ALGEBRA_2 = PerceptionAlgebra.from_matrices([("a", np.eye(2))])
+CYCLE_2 = ClassicalCycle(2, [(1, 1.0), (2, 1.0)])
 
 
 @pytest.mark.parametrize(
@@ -438,10 +455,87 @@ def test_operands_of_different_dims_are_refused_naming_both(call, message):
         (lambda: measure_of(None, ["a"], HALF_2), "algebra must be a PerceptionAlgebra, got NoneType"),
         (lambda: deviation_check(None), "report must be a SampleReport, got NoneType"),
         (lambda: sample_classical(None, 10, 0), "cycle must be a ClassicalCycle, got NoneType"),
+        (lambda: char_and(PerceptionSet([1, 0]), [1, 0]), "set must be a PerceptionSet, got list"),
+        (lambda: check_invariance(np.eye(2), HALF_2, np.eye(2)), "projector must be a Projector, got ndarray"),
+        (lambda: classical_density([0.5, 0.5]), "fractions must be a FractionVector, got list"),
+        (lambda: conditional_prob(None, ["a"], ["a"], HALF_2), "algebra must be a PerceptionAlgebra, got NoneType"),
+        (lambda: default_cluster_tol(np.eye(2)), "hamiltonian must be a Hamiltonian, got ndarray"),
+        (lambda: diag_projector([1, 0]), "set must be a PerceptionSet, got list"),
+        (lambda: dwell_fractions(None), "cycle must be a ClassicalCycle, got NoneType"),
+        (lambda: evolve(np.eye(2) / 2, ZERO_H_2, 1.0), "density must be a DensityMatrix, got ndarray"),
+        (lambda: is_superselection_compliant(np.eye(2), ZERO_H_2), "projector must be a Projector, got ndarray"),
+        (lambda: normalized_prob(None, ["a"], HALF_2), "algebra must be a PerceptionAlgebra, got NoneType"),
+        (lambda: projector_meet(np.eye(2), Projector(np.eye(2))), "projector must be a Projector, got ndarray"),
+        (
+            lambda: sample_measurement([Projector(np.eye(2))], np.eye(2) / 2, 10, 0),
+            "density must be a DensityMatrix, got ndarray",
+        ),
+        (lambda: time_average_indicator(None, 10), "cycle must be a ClassicalCycle, got NoneType"),
+        (lambda: total_measure(ALGEBRA_2, np.eye(2) / 2), "density must be a DensityMatrix, got ndarray"),
+        (lambda: union_operator(None, ["a"]), "algebra must be a PerceptionAlgebra, got NoneType"),
     ],
-    ids=["trace-prob", "dephase", "energy-blocks", "classical-prob", "measure-of", "deviation-check", "sample-classical"],
+    ids=[
+        "trace-prob",
+        "dephase",
+        "energy-blocks",
+        "classical-prob",
+        "measure-of",
+        "deviation-check",
+        "sample-classical",
+        "char-and",
+        "check-invariance",
+        "classical-density",
+        "conditional-prob",
+        "default-cluster-tol",
+        "diag-projector",
+        "dwell-fractions",
+        "evolve",
+        "is-superselection-compliant",
+        "normalized-prob",
+        "projector-meet",
+        "sample-measurement",
+        "time-average-indicator",
+        "total-measure",
+        "union-operator",
+    ],
 )
 def test_operands_of_another_type_are_refused_naming_their_role(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message
+
+
+# A non-iterable where a collection belongs, a non-array given to max_abs,
+# and a step count past the longest array numpy can size.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ClassicalCycle(2, 5), "schedule must be an iterable, got int"),
+        (lambda: FractionVector(0.5), "fractions must be an iterable, got float"),
+        (lambda: PerceptionSet(None), "characteristic vector must be an iterable, got NoneType"),
+        (lambda: max_abs(None), "max_abs needs a nonempty array of numbers, got NoneType"),
+        (lambda: max_abs("x"), "max_abs needs a nonempty array of numbers, got str"),
+        (lambda: max_abs([]), "max_abs needs a nonempty array of numbers, got list"),
+        (lambda: max_abs(10**400), "max_abs needs a nonempty array of numbers, got int"),
+        (lambda: time_average_indicator(CYCLE_2, 10**400), f"steps must be <= {MAX_STEPS}"),
+        (lambda: time_average_indicator(CYCLE_2, 2**63), f"steps must be <= {MAX_STEPS}"),  # arange wraps it to []
+        (lambda: time_average_indicator(CYCLE_2, MAX_STEPS + 1), f"steps must be <= {MAX_STEPS}"),
+    ],
+    ids=[
+        "cycle-schedule",
+        "fraction-vector",
+        "perception-set",
+        "max-abs-none",
+        "max-abs-str",
+        "max-abs-empty",
+        "max-abs-overflow",
+        "steps-400-digits",
+        "steps-2**63",
+        "steps-past-max",
+    ],
+)
+def test_non_collections_and_non_arrays_are_refused(call, message):
     with pytest.raises(ValidationError) as info:
         call()
     assert type(info.value) is ValidationError
