@@ -36,7 +36,6 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOL,
-    EigenDecomposition,
     as_matrix,
     hermitian_eig,
     is_density,

@@ -25,7 +25,6 @@ import math
 import numbers
 import operator
 import reprlib
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -167,26 +166,8 @@ def is_density(a, tol: float = DEFAULT_TOL) -> bool:
     return is_hermitian(mat, tol) and trace_defect(mat) <= tol and min_eigenvalue(mat) >= -tol
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+def hermitian_eig(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition A = V diag(eigenvalues) V^dagger of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; the columns of ``eigenvectors`` are
-    orthonormal. Each eigenvector is phase-fixed so that its first component of
-    largest magnitude is real and nonnegative; within a degenerate cluster no
-    further ordering of eigenvectors is guaranteed.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
-
-
-def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
@@ -194,6 +175,13 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
         Square matrix; must pass :func:`is_hermitian` at ``tol``.
     tol : float
         Hermiticity tolerance for the precondition check.
+
+    Returns
+    -------
+    eigenvalues, eigenvectors : np.ndarray
+        Read-only. The eigenvalues are real and ascending, the columns of ``eigenvectors``
+        orthonormal and each phase-fixed so that its first component of largest magnitude
+        is real and nonnegative; within a degenerate cluster no further ordering is guaranteed.
 
     Raises
     ------
@@ -215,7 +203,9 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     pivots = vectors[pivot_rows, np.arange(n)]
     phases = pivots / np.abs(pivots)
     vectors = vectors * phases.conj()[np.newaxis, :]
-    return EigenDecomposition(values.astype(float), vectors.astype(complex))
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return values, vectors
 
 
 # The JSON scalar rules: an integer is an int, a number an int or float

@@ -10,14 +10,14 @@ deterministic for a fixed seed (PCG64).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .classical import ClassicalCycle, dwell_fractions
 from .errors import NotAPartitionError, ValidationError
-from .matcore import _integer, _iterate, _labels, _operand, max_abs
+from .matcore import _integer, _iterate, _labels, _operand, _real, max_abs
 from .quantum import DensityMatrix, Projector, trace_prob
 
 PARTITION_TOL = 1e-9
@@ -27,7 +27,12 @@ MAX_SAMPLES = 2**63 - 1  # numpy's multinomial counts are int64
 
 @dataclass(frozen=True)
 class SampleReport:
-    """Tally of one sampling run against its trace-rule predictions."""
+    """Tally of one sampling run against its trace-rule predictions.
+
+    Refused unless it is what :func:`deviation_check` reads: sequences (not text)
+    of one entry per outcome, counts integers >= 0 summing to the integer total,
+    and frequencies and probabilities finite reals in [0, 1].
+    """
 
     outcomes: tuple[str, ...]
     counts: tuple[int, ...]
@@ -38,13 +43,23 @@ class SampleReport:
     seed: int
 
     def __post_init__(self):
-        if self.total < 1:
+        for name in ("outcomes", "counts", "empirical_freqs", "expected_probs"):
+            if not isinstance(value := getattr(self, name), Sequence) or isinstance(value, (str, bytes)):
+                raise ValidationError(f"{name} must be a sequence, got {type(value).__name__}")
+        if _integer(self.total, "total") < 1:
             raise ValidationError("total must be >= 1")
         k = len(self.outcomes)
         if not (len(self.counts) == len(self.empirical_freqs) == len(self.expected_probs) == k):
             raise ValidationError("report fields must have one entry per outcome")
+        for i, c in enumerate(self.counts):
+            if _integer(c, f"counts[{i}]") < 0:
+                raise ValidationError(f"counts[{i}] must be >= 0")
         if sum(self.counts) != self.total:
             raise ValidationError("counts must sum to total")
+        for name in ("empirical_freqs", "expected_probs"):
+            for i, x in enumerate(getattr(self, name)):
+                if not 0.0 <= (v := _real(x, f"{name}[{i}]")) <= 1.0:
+                    raise ValidationError(f"{name}[{i}] must be a finite real in [0, 1], got {v!r}")
 
     def to_obj(self) -> dict:
         """JSON-ready dict, keys in field order (tuples serialize as arrays)."""

@@ -31,18 +31,19 @@ COMPLIANCE_TOL = 1e-9
 class Hamiltonian(Operator):
     """Hermitian generator of time evolution (hbar = 1).
 
-    The eigendecomposition and the energy sectors are computed once, at
-    construction. Consecutive eigenvalues share a sector iff their gap is
-    <= :func:`default_cluster_tol`. Joining chains, so a sector's width is not
-    bounded by that tolerance: 64 levels spaced 0.9 tol form one sector 56.7 tol wide.
+    ``energies`` (ascending) and ``eigenvectors`` are the read-only pair :func:`hermitian_eig`
+    returns; they and the energy sectors are computed once, at construction. Consecutive
+    eigenvalues share a sector iff their gap is <= :func:`default_cluster_tol`. Joining chains,
+    so a sector's width is not bounded by that tolerance: 64 levels spaced 0.9 tol form one sector 56.7 tol wide.
     """
 
-    __slots__ = ("eig", "_blocks")
+    __slots__ = ("energies", "eigenvectors", "_blocks")
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
         m = enforce_reality(mode, mat)
-        object.__setattr__(self, "eig", hermitian_eig(m, tol=tol))
-        values = self.eig.eigenvalues
+        values, vectors = hermitian_eig(m, tol=tol)
+        object.__setattr__(self, "energies", values)
+        object.__setattr__(self, "eigenvectors", vectors)
         with np.errstate(over="ignore"):  # a gap beyond the float range is inf, and splits the sectors
             split = ~(np.diff(values) <= default_cluster_tol(self))
         bounds = [0, *(np.flatnonzero(split) + 1).tolist(), len(values)]
@@ -51,15 +52,9 @@ class Hamiltonian(Operator):
             clusters=tuple(tuple(range(a, b)) for a, b in spans),
             energies=tuple(_mean(values[a:b]) for a, b in spans),
             labels=np.concatenate(([0], np.cumsum(split))),
-            basis=self.eig.eigenvectors,
         )
         object.__setattr__(self, "_blocks", blocks)
         self._seal(m)
-
-    @property
-    def energies(self) -> np.ndarray:
-        """Ascending eigenvalues."""
-        return self.eig.eigenvalues
 
 
 def _mean(values: np.ndarray) -> float:
@@ -75,18 +70,26 @@ def _mean(values: np.ndarray) -> float:
 class EnergyBlocks:
     """Partition of eigen-indices into equal-energy clusters of a Hamiltonian.
 
-    ``labels[i]`` is the cluster of eigen-index ``i`` and ``basis`` the
-    eigenvector matrix the clusters refer to; adjacent clusters are separated
-    by an energy gap larger than :func:`default_cluster_tol`.
+    ``labels[i]`` is the cluster of eigen-index ``i`` in the Hamiltonian's
+    ``eigenvectors``; adjacent clusters are separated by an energy gap larger
+    than :func:`default_cluster_tol`. ``labels`` is taken into a read-only copy,
+    and refused unless it is a 1-D array of integers.
     """
 
     clusters: tuple[tuple[int, ...], ...]
     energies: tuple[float, ...]
     labels: np.ndarray
-    basis: np.ndarray
 
     def __post_init__(self):
-        self.labels.setflags(write=False)
+        try:
+            labels = np.array(self.labels)
+            ok = labels.dtype.kind in "iu" and labels.ndim == 1
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValidationError(f"labels must be a 1-D array of integers, got {type(self.labels).__name__}")
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def count(self) -> int:
@@ -105,17 +108,18 @@ def energy_blocks(h: Hamiltonian) -> EnergyBlocks:
     return h._blocks
 
 
-def pinch(x: np.ndarray, blocks: EnergyBlocks) -> np.ndarray:
-    """The pinching sum_k Pi_k x Pi_k over the energy sectors, in O(n^3).
+def pinch(x: np.ndarray, h: Hamiltonian) -> np.ndarray:
+    """The pinching sum_k Pi_k x Pi_k over the energy sectors of ``h``, in O(n^3).
 
     Rotates into the eigenbasis once, zeroes every entry whose row and
     column lie in different clusters, and rotates back. Over a cluster
     V_k V_k^dagger = Pi_k, so this equals the sum of sector compressions,
     degenerate sectors included.
     """
-    v = blocks.basis
+    labels = energy_blocks(h).labels
+    v = h.eigenvectors
     y = v.conj().T @ x @ v
-    y[blocks.labels[:, np.newaxis] != blocks.labels[np.newaxis, :]] = 0.0
+    y[labels[:, np.newaxis] != labels[np.newaxis, :]] = 0.0
     return v @ y @ v.conj().T
 
 
@@ -126,10 +130,10 @@ def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
     same_dim("density", rho.dim, "hamiltonian", h.dim)
     t = _time(t)
     with np.errstate(over="ignore"):  # a phase beyond the float range reads as inf, refused below
-        et = h.eig.eigenvalues * t
+        et = h.energies * t
     if not np.isfinite(et).all():
         raise ValidationError(f"time {t!r} makes a phase E*t beyond the float range")
-    v = h.eig.eigenvectors
+    v = h.eigenvectors
     phases = np.exp(-1j * et)
     u = (v * phases[np.newaxis, :]) @ v.conj().T
     return DensityMatrix(u @ rho.mat @ u.conj().T)
@@ -145,7 +149,7 @@ def dephase(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
     _operand(rho, DensityMatrix, "density")
     _operand(h, Hamiltonian, "hamiltonian")
     same_dim("density", rho.dim, "hamiltonian", h.dim)
-    return DensityMatrix(pinch(rho.mat, energy_blocks(h)))
+    return DensityMatrix(pinch(rho.mat, h))
 
 
 def is_superselection_compliant(p: Projector, h: Hamiltonian) -> bool:
@@ -160,4 +164,4 @@ def is_superselection_compliant(p: Projector, h: Hamiltonian) -> bool:
     _operand(p, Projector, "projector")
     _operand(h, Hamiltonian, "hamiltonian")
     same_dim("projector", p.dim, "hamiltonian", h.dim)
-    return max_abs(pinch(p.mat, energy_blocks(h)) - p.mat) <= COMPLIANCE_TOL
+    return max_abs(pinch(p.mat, h) - p.mat) <= COMPLIANCE_TOL

@@ -148,8 +148,8 @@ def averaged_evolution(rho: DensityMatrix, h: Hamiltonian, times: np.ndarray) ->
     identical to averaging the conjugated matrices one at a time (checked
     against the literal loop in the superselection tests).
     """
-    v = h.eig.eigenvectors
-    e = h.eig.eigenvalues
+    v = h.eigenvectors
+    e = h.energies
     rho_eig = v.conj().T @ rho.mat @ v
     delta = e[:, np.newaxis] - e[np.newaxis, :]
     mean_phase = np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=float), delta)).mean(axis=0)
@@ -160,7 +160,7 @@ def spectral_projectors(h: Hamiltonian) -> tuple[np.ndarray, ...]:
     """The spectral projectors Pi_k = V_k V_k^dagger of h, one per energy sector,
     with V_k the eigenvector columns of sector k. They sum to the identity and
     are mutually orthogonal; the library never builds them."""
-    v = h.eig.eigenvectors
+    v = h.eigenvectors
     blocks = (v[:, list(c)] for c in energy_blocks(h).clusters)
     return tuple(b @ b.conj().T for b in blocks)
 

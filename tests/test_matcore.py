@@ -96,20 +96,20 @@ def test_trace_cyclicity():
 
 
 def test_hermitian_eig_diagonal_sorted():
-    dec = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(dec.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
+    values, _ = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
+    np.testing.assert_allclose(values, [1.0, 2.0, 3.0], atol=1e-14)
 
 
 def test_hermitian_eig_pauli_x():
-    dec = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-14)
+    values, _ = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
 
 
 def test_hermitian_eig_reconstructs():
     rng = np.random.default_rng(15)
     a = random_hermitian(rng, 6)
-    dec = hermitian_eig(a)
-    rebuilt = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.conj().T
+    values, vectors = hermitian_eig(a)
+    rebuilt = vectors @ np.diag(values) @ vectors.conj().T
     assert max_abs(rebuilt - a) <= 1e-9
 
 
@@ -132,9 +132,9 @@ def test_hermitian_eig_phase_convention():
     # The first largest-magnitude component of each eigenvector is real >= 0.
     rng = np.random.default_rng(16)
     for n in range(2, 9):
-        dec = hermitian_eig(random_hermitian(rng, n))
+        _, vectors = hermitian_eig(random_hermitian(rng, n))
         for k in range(n):
-            v = dec.eigenvectors[:, k]
+            v = vectors[:, k]
             pivot = v[np.argmax(np.abs(v))]
             assert abs(pivot.imag) <= 1e-12
             assert pivot.real >= -1e-12
@@ -145,19 +145,18 @@ def test_hermitian_eig_vectors_unitary_sweep():
     for n in range(2, 9):
         for _ in range(100):
             a = random_hermitian(rng, n)
-            dec = hermitian_eig(a)
-            v = dec.eigenvectors
+            values, v = hermitian_eig(a)
             assert max_abs(v.conj().T @ v - np.eye(n)) <= 1e-9
-            rebuilt = v @ np.diag(dec.eigenvalues) @ v.conj().T
+            rebuilt = v @ np.diag(values) @ v.conj().T
             assert max_abs(rebuilt - a) <= 1e-9
 
 
-def test_eigendecomposition_is_read_only():
-    dec = hermitian_eig(np.diag([1.0, 2.0]))
+def test_hermitian_eig_is_read_only():
+    values, vectors = hermitian_eig(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
-        dec.eigenvalues[0] = 9.0
+        values[0] = 9.0
     with pytest.raises(ValueError):
-        dec.eigenvectors[0, 0] = 9.0
+        vectors[0, 0] = 9.0
 
 
 @pytest.mark.parametrize(

@@ -316,11 +316,11 @@ def test_trace_prob_matches_spectral_expansion():
     for _ in range(20):
         p = random_projector(rng, 6)
         rho = random_density(rng, 6)
-        dec = hermitian_eig(rho.mat)
+        values, vectors = hermitian_eig(rho.mat)
         expected = 0.0
         for k in range(6):
-            v = dec.eigenvectors[:, k]
-            expected += dec.eigenvalues[k] * (v.conj() @ p.mat @ v).real
+            v = vectors[:, k]
+            expected += values[k] * (v.conj() @ p.mat @ v).real
         assert abs(trace_prob(p, rho) - expected) <= 1e-10
 
 

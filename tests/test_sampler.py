@@ -248,6 +248,56 @@ def test_report_refuses_an_empty_tally():
         )
 
 
+REPORT = {
+    "outcomes": ("a", "b"),
+    "counts": (3, 1),
+    "total": 4,
+    "empirical_freqs": (0.75, 0.25),
+    "expected_probs": (0.5, 0.5),
+    "max_abs_deviation": 0.25,
+    "seed": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("outcomes", None, "outcomes must be a sequence, got NoneType"),
+        ("outcomes", "ab", "outcomes must be a sequence, got str"),
+        ("counts", 4, "counts must be a sequence, got int"),
+        ("empirical_freqs", np.array([0.75, 0.25]), "empirical_freqs must be a sequence, got ndarray"),
+        ("expected_probs", b"ab", "expected_probs must be a sequence, got bytes"),
+        ("total", 4.0, "total must be an integer, got float"),
+        ("counts", (3.0, 1), "counts[0] must be an integer, got float"),
+        ("counts", (5, -1), "counts[1] must be >= 0"),
+        ("empirical_freqs", ("x", 0.25), "empirical_freqs[0] must be a real number, got str"),
+        ("empirical_freqs", (0.75, 10**400), "empirical_freqs[1] 100000000000000000...0000000000000000000 is beyond the float range"),
+        ("expected_probs", (2.0, 0.5), "expected_probs[0] must be a finite real in [0, 1], got 2.0"),
+        ("expected_probs", (0.5, float("nan")), "expected_probs[1] must be a finite real in [0, 1], got nan"),
+        ("expected_probs", (-0.5, 0.5), "expected_probs[0] must be a finite real in [0, 1], got -0.5"),
+    ],
+    ids=[
+        "outcomes-none",
+        "outcomes-str",
+        "counts-int",
+        "freqs-array",
+        "probs-bytes",
+        "total-float",
+        "count-float",
+        "count-negative",
+        "freq-str",
+        "freq-huge",
+        "prob-above-one",
+        "prob-nan",
+        "prob-negative",
+    ],
+)
+def test_report_refuses_what_deviation_check_cannot_read(field, value, message):
+    with pytest.raises(ValidationError) as info:
+        SampleReport(**{**REPORT, field: value})
+    assert str(info.value) == message
+
+
 def test_sample_measurement_refuses_labels_that_are_no_collection():
     with pytest.raises(ValidationError) as info:
         sample_measurement([Projector(np.eye(2))], DensityMatrix(PLUS_STATE), 10, 0, labels=5)

@@ -22,6 +22,7 @@ from helpers import (
 from traceprob import (
     DensityMatrix,
     DimensionMismatchError,
+    EnergyBlocks,
     Hamiltonian,
     NotHermitianError,
     NotRealError,
@@ -33,6 +34,7 @@ from traceprob import (
     dephase,
     energy_blocks,
     evolve,
+    hermitian_eig,
     is_superselection_compliant,
     max_abs,
     trace,
@@ -243,7 +245,7 @@ def test_dephase_diagonal_in_nondegenerate_eigenbasis():
         rho = random_density(rng, n)
         h = random_hamiltonian(rng, n)  # continuous spectrum: a.s. nondegenerate
         bar = dephase(rho, h)
-        v = h.eig.eigenvectors
+        v = h.eigenvectors
         in_basis = v.conj().T @ bar.mat @ v
         off = in_basis - np.diag(np.diagonal(in_basis))
         assert max_abs(off) <= 1e-10
@@ -341,7 +343,7 @@ def test_pinching_matches_sector_sum(n):
     assert max(len(c) for c in blocks.clusters) > 1
     rho = random_density(rng, n)
     assert max_abs(dephase(rho, h).mat - sector_sum(rho.mat, h)) <= 1e-12
-    in_sector = blocks.basis[:, list(blocks.clusters[0][:1])]
+    in_sector = h.eigenvectors[:, list(blocks.clusters[0][:1])]
     candidates = [
         Projector(sum(spectral_projectors(h)[::2])),  # whole sectors
         Projector(in_sector @ in_sector.conj().T),  # part of one sector
@@ -350,7 +352,7 @@ def test_pinching_matches_sector_sum(n):
     verdicts = []
     for p in candidates:
         literal = sector_sum(p.mat, h)
-        assert max_abs(pinch(p.mat, blocks) - literal) <= 1e-12
+        assert max_abs(pinch(p.mat, h) - literal) <= 1e-12
         verdict = is_superselection_compliant(p, h)
         assert verdict == (max_abs(literal - p.mat) <= COMPLIANCE_TOL)
         verdicts.append(verdict)
@@ -365,13 +367,46 @@ def test_energy_blocks_built_once_and_sealed():
         h._blocks = None
 
 
-def test_energy_blocks_labels_and_basis():
+def test_energy_blocks_labels():
     h = Hamiltonian(np.diag([2.0, 0.0, 0.0, 5.0]))
     blocks = energy_blocks(h)
     assert blocks.labels.tolist() == [0, 0, 1, 2]
-    assert blocks.basis is h.eig.eigenvectors
     with pytest.raises(ValueError):
         blocks.labels[0] = 1
+
+
+def test_hamiltonian_holds_the_read_only_spectrum_of_hermitian_eig():
+    h = random_hamiltonian(np.random.default_rng(63), 6)
+    values, vectors = hermitian_eig(h.mat)
+    assert h.energies.tobytes() == values.tobytes() and h.eigenvectors.tobytes() == vectors.tobytes()
+    for held in (h.energies, h.eigenvectors):
+        with pytest.raises(ValueError):
+            held[0] = 9.0
+
+
+def test_energy_blocks_owns_a_read_only_copy_of_its_labels():
+    caller = np.array([0, 0, 1])
+    blocks = EnergyBlocks(clusters=((0, 1), (2,)), energies=(0.0, 1.0), labels=caller)
+    assert caller.flags.writeable and not blocks.labels.flags.writeable
+    assert EnergyBlocks(clusters=((0,),), energies=(0.0,), labels=[0]).labels.tolist() == [0]
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (None, "labels must be a 1-D array of integers, got NoneType"),
+        ("x", "labels must be a 1-D array of integers, got str"),
+        ([0.0], "labels must be a 1-D array of integers, got list"),
+        (0, "labels must be a 1-D array of integers, got int"),
+        (np.zeros((1, 1), dtype=int), "labels must be a 1-D array of integers, got ndarray"),
+        ([[0], [0, 1]], "labels must be a 1-D array of integers, got list"),
+    ],
+    ids=["none", "str", "float", "scalar", "2-d", "ragged"],
+)
+def test_energy_blocks_refuses_labels_that_are_no_integer_array(labels, message):
+    with pytest.raises(ValidationError) as info:
+        EnergyBlocks(clusters=((0,),), energies=(0.0,), labels=labels)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("n", [128, 256])

@@ -21,7 +21,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import FunctionType, ModuleType
+from types import FunctionType, MemberDescriptorType, ModuleType
 
 import traceprob
 
@@ -34,7 +34,7 @@ SOURCES = [
     *sorted((ROOT / "perfbench").glob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
 ]
-_MEMBER_KINDS = (FunctionType, property, functools.cached_property, classmethod, staticmethod)
+_MEMBER_KINDS = (FunctionType, property, functools.cached_property, classmethod, staticmethod, MemberDescriptorType)
 
 
 def _nodes(path: Path):
@@ -58,8 +58,8 @@ def _attributes_read(path: Path) -> set[str]:
 
 
 def _public_members(cls: type):
-    """``Class.member`` for each public method and property that ``cls`` defines
-    or inherits from a class of this package."""
+    """``Class.member`` for each public method, property and ``__slots__`` member
+    that ``cls`` defines or inherits from a class of this package."""
     for owner in cls.__mro__:
         if owner.__module__.startswith("traceprob."):
             for name, value in vars(owner).items():
@@ -76,7 +76,8 @@ def test_every_public_member_is_read():
     read = set().union(*map(_attributes_read, SOURCES))
     classes = [value for value in map(traceprob.__dict__.get, traceprob.__all__) if isinstance(value, type)]
     members = [member for cls in classes for member in _public_members(cls)]
-    assert {"ClassicalCycle.state_at", "Projector.dim"} <= set(members)  # a method, and an inherited property
+    # a method, an inherited property, a slot, and an inherited slot
+    assert {"ClassicalCycle.state_at", "Projector.dim", "Hamiltonian.eigenvectors", "Projector.mat"} <= set(members)
     assert [member for member in members if member.rpartition(".")[2] not in read] == []
 
 
