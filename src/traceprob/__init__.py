@@ -68,7 +68,6 @@ from .quantum import (
 from .sampler import SampleReport, deviation_check, sample_classical, sample_measurement
 from .specfile import LabeledProjector, SystemSpec, algebra_from_obj, load_system_spec
 from .superselect import (
-    EnergyBlocks,
     Hamiltonian,
     default_cluster_tol,
     dephase,

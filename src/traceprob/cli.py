@@ -193,9 +193,9 @@ def cmd_dephase(spec: SystemSpec, args) -> dict:
     rho_deph = dephase(spec.rho, spec.hamiltonian)
     return {
         "blocks": {
-            "count": blocks.count,
-            "energies": list(blocks.energies),
-            "clusters": [list(c) for c in blocks.clusters],
+            "count": len(blocks),
+            "energies": [energy for energy, _ in blocks],
+            "clusters": [list(indices) for _, indices in blocks],
         },
         "rho_dephased": rho_deph.mat,
         "trace": trace(rho_deph.mat).real,

@@ -148,7 +148,7 @@ def trace_prob(p: Projector, rho: DensityMatrix) -> float:
 def unitary_conjugate(u, a) -> np.ndarray:
     """Change of basis u a u^dagger.
 
-    Raises NotUnitaryError when |u^dagger u - I|_max > 1e-9.
+    Raises NotUnitaryError when |u^dagger u - I|_max > 1e-9, and NonFiniteError when the product overflows.
     """
     um = as_matrix(u)
     am = as_matrix(a)
@@ -157,7 +157,11 @@ def unitary_conjugate(u, a) -> np.ndarray:
         defect = max_abs(um.conj().T @ um - np.eye(um.shape[0]))
     if not defect <= UNITARY_TOL:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL}")
-    return um @ am @ um.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or nan, refused below
+        out = um @ am @ um.conj().T
+    if not math.isfinite(norm := max_abs(out)):
+        raise NonFiniteError(f"conjugate max-norm {norm!r} is not finite")
+    return out
 
 
 def check_invariance(p: Projector, rho: DensityMatrix, u) -> float:

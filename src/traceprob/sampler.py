@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,56 +30,54 @@ class SampleReport:
     """Tally of one sampling run against its trace-rule predictions.
 
     Refused unless it is what :func:`deviation_check` reads: sequences (not text)
-    of one entry per outcome, counts integers >= 0 summing to the integer total,
-    and frequencies and probabilities finite reals in [0, 1].
+    of one entry per outcome, counts integers >= 0 summing to at least 1,
+    probabilities finite reals in [0, 1], and a seed an integer >= 0. The total,
+    frequencies and largest deviation are derived from the counts.
     """
 
     outcomes: tuple[str, ...]
     counts: tuple[int, ...]
-    total: int
-    empirical_freqs: tuple[float, ...]
     expected_probs: tuple[float, ...]
-    max_abs_deviation: float
     seed: int
 
     def __post_init__(self):
-        for name in ("outcomes", "counts", "empirical_freqs", "expected_probs"):
+        for name in ("outcomes", "counts", "expected_probs"):
             if not isinstance(value := getattr(self, name), Sequence) or isinstance(value, (str, bytes)):
                 raise ValidationError(f"{name} must be a sequence, got {type(value).__name__}")
-        if _integer(self.total, "total") < 1:
-            raise ValidationError("total must be >= 1")
-        k = len(self.outcomes)
-        if not (len(self.counts) == len(self.empirical_freqs) == len(self.expected_probs) == k):
+        if not (len(self.counts) == len(self.expected_probs) == len(self.outcomes)):
             raise ValidationError("report fields must have one entry per outcome")
         for i, c in enumerate(self.counts):
             if _integer(c, f"counts[{i}]") < 0:
                 raise ValidationError(f"counts[{i}] must be >= 0")
-        if sum(self.counts) != self.total:
-            raise ValidationError("counts must sum to total")
-        for name in ("empirical_freqs", "expected_probs"):
-            for i, x in enumerate(getattr(self, name)):
-                if not 0.0 <= (v := _real(x, f"{name}[{i}]")) <= 1.0:
-                    raise ValidationError(f"{name}[{i}] must be a finite real in [0, 1], got {v!r}")
+        if self.total < 1:
+            raise ValidationError("total must be >= 1")
+        for i, x in enumerate(self.expected_probs):
+            if not 0.0 <= (v := _real(x, f"expected_probs[{i}]")) <= 1.0:
+                raise ValidationError(f"expected_probs[{i}] must be a finite real in [0, 1], got {v!r}")
+        if _integer(self.seed, "seed") < 0:
+            raise ValidationError("seed must be >= 0")
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def empirical_freqs(self) -> tuple[float, ...]:
+        total = self.total
+        return tuple(float(c) / total for c in self.counts)
+
+    @property
+    def max_abs_deviation(self) -> float:
+        return max(abs(f - e) for f, e in zip(self.empirical_freqs, self.expected_probs))
 
     def to_obj(self) -> dict:
-        """JSON-ready dict, keys in field order (tuples serialize as arrays)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """JSON-ready dict of the stored and the derived values (tuples serialize as arrays)."""
+        keys = ("outcomes", "counts", "total", "empirical_freqs", "expected_probs", "max_abs_deviation", "seed")
+        return {key: getattr(self, key) for key in keys}
 
 
-def _build_report(
-    outcomes: Sequence[str], counts: np.ndarray, total: int, expected: Sequence[float], seed: int
-) -> SampleReport:
-    freqs = tuple(float(c) / total for c in counts)
-    deviation = max(abs(f - e) for f, e in zip(freqs, expected))
-    return SampleReport(
-        outcomes=tuple(outcomes),
-        counts=tuple(int(c) for c in counts),
-        total=total,
-        empirical_freqs=freqs,
-        expected_probs=tuple(float(e) for e in expected),
-        max_abs_deviation=float(deviation),
-        seed=seed,
-    )
+def _build_report(outcomes: Sequence[str], counts: np.ndarray, expected: Sequence[float], seed: int) -> SampleReport:
+    return SampleReport(tuple(outcomes), tuple(int(c) for c in counts), tuple(float(e) for e in expected), seed)
 
 
 def _check_draw_args(n_samples: int, seed: int) -> tuple[int, int]:
@@ -106,7 +104,7 @@ def sample_classical(c: ClassicalCycle, n_samples: int, seed: int) -> SampleRepo
     fractions = dwell_fractions(c).f
     counts = np.random.default_rng(seed).multinomial(n_samples, fractions)
     labels = [f"state-{i}" for i in range(1, c.n + 1)]
-    return _build_report(labels, counts, n_samples, fractions, seed)
+    return _build_report(labels, counts, fractions, seed)
 
 
 def partition_refusal(partition: Sequence[Projector], dim: int) -> NotAPartitionError | None:
@@ -160,7 +158,7 @@ def sample_measurement(
     weights = weights / weight_sum
 
     counts = np.random.default_rng(seed).multinomial(n_samples, weights)
-    return _build_report(labels, counts, n_samples, weights, seed)
+    return _build_report(labels, counts, weights, seed)
 
 
 def deviation_check(report: SampleReport) -> bool:

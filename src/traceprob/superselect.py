@@ -17,8 +17,6 @@ Hamiltonian share a single clustering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -32,12 +30,13 @@ class Hamiltonian(Operator):
     """Hermitian generator of time evolution (hbar = 1).
 
     ``energies`` (ascending) and ``eigenvectors`` are the read-only pair :func:`hermitian_eig`
-    returns; they and the energy sectors are computed once, at construction. Consecutive
-    eigenvalues share a sector iff their gap is <= :func:`default_cluster_tol`. Joining chains,
+    returns; ``sectors[i]`` (read-only, ascending from 0) is the energy sector of eigen-index
+    ``i``. All three are computed once, at construction. Consecutive eigenvalues share a sector
+    iff their gap is <= :func:`default_cluster_tol`. Joining chains,
     so a sector's width is not bounded by that tolerance: 64 levels spaced 0.9 tol form one sector 56.7 tol wide.
     """
 
-    __slots__ = ("energies", "eigenvectors", "_blocks")
+    __slots__ = ("energies", "eigenvectors", "sectors")
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
         m = enforce_reality(mode, mat)
@@ -46,14 +45,9 @@ class Hamiltonian(Operator):
         object.__setattr__(self, "eigenvectors", vectors)
         with np.errstate(over="ignore"):  # a gap beyond the float range is inf, and splits the sectors
             split = ~(np.diff(values) <= default_cluster_tol(self))
-        bounds = [0, *(np.flatnonzero(split) + 1).tolist(), len(values)]
-        spans = list(zip(bounds[:-1], bounds[1:]))
-        blocks = EnergyBlocks(
-            clusters=tuple(tuple(range(a, b)) for a, b in spans),
-            energies=tuple(_mean(values[a:b]) for a, b in spans),
-            labels=np.concatenate(([0], np.cumsum(split))),
-        )
-        object.__setattr__(self, "_blocks", blocks)
+        sectors = np.concatenate(([0], np.cumsum(split)))
+        sectors.setflags(write=False)
+        object.__setattr__(self, "sectors", sectors)
         self._seal(m)
 
 
@@ -66,60 +60,33 @@ def _mean(values: np.ndarray) -> float:
     return float(np.mean(values * 2.0**-k)) * 2.0**k if np.isinf(mean) else mean
 
 
-@dataclass(frozen=True, eq=False)
-class EnergyBlocks:
-    """Partition of eigen-indices into equal-energy clusters of a Hamiltonian.
-
-    ``labels[i]`` is the cluster of eigen-index ``i`` in the Hamiltonian's
-    ``eigenvectors``; adjacent clusters are separated by an energy gap larger
-    than :func:`default_cluster_tol`. ``labels`` is taken into a read-only copy,
-    and refused unless it is a 1-D array of integers.
-    """
-
-    clusters: tuple[tuple[int, ...], ...]
-    energies: tuple[float, ...]
-    labels: np.ndarray
-
-    def __post_init__(self):
-        try:
-            labels = np.array(self.labels)
-            ok = labels.dtype.kind in "iu" and labels.ndim == 1
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ValidationError(f"labels must be a 1-D array of integers, got {type(self.labels).__name__}")
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def count(self) -> int:
-        return len(self.clusters)
-
-
 def default_cluster_tol(h: Hamiltonian) -> float:
     """Near-degeneracy tolerance of the energy sectors: 1e-8 * max(1, |E|_max)."""
     _operand(h, Hamiltonian, "hamiltonian")
     return 1e-8 * max(1.0, float(np.max(np.abs(h.energies))))
 
 
-def energy_blocks(h: Hamiltonian) -> EnergyBlocks:
-    """The energy sectors of ``h``, clustered at :func:`default_cluster_tol` when ``h`` was built."""
+def energy_blocks(h: Hamiltonian) -> tuple[tuple[float, tuple[int, ...]], ...]:
+    """One ``(energy, eigen-indices)`` pair per energy sector of ``h``, in ascending energy.
+
+    The indices are a run of equal values in ``h.sectors``; the energy is the mean of their eigenvalues.
+    """
     _operand(h, Hamiltonian, "hamiltonian")
-    return h._blocks
+    bounds = [0, *(np.flatnonzero(np.diff(h.sectors)) + 1).tolist(), len(h.sectors)]
+    return tuple((_mean(h.energies[a:b]), tuple(range(a, b))) for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 def pinch(x: np.ndarray, h: Hamiltonian) -> np.ndarray:
     """The pinching sum_k Pi_k x Pi_k over the energy sectors of ``h``, in O(n^3).
 
     Rotates into the eigenbasis once, zeroes every entry whose row and
-    column lie in different clusters, and rotates back. Over a cluster
+    column lie in different sectors, and rotates back. Over a sector
     V_k V_k^dagger = Pi_k, so this equals the sum of sector compressions,
     degenerate sectors included.
     """
-    labels = energy_blocks(h).labels
-    v = h.eigenvectors
+    sectors, v = h.sectors, h.eigenvectors
     y = v.conj().T @ x @ v
-    y[labels[:, np.newaxis] != labels[np.newaxis, :]] = 0.0
+    y[sectors[:, np.newaxis] != sectors[np.newaxis, :]] = 0.0
     return v @ y @ v.conj().T
 
 
@@ -143,7 +110,7 @@ def dephase(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
     """Infinite-time average of the evolving state: the pinching sum_k Pi_k rho Pi_k.
 
     Computed by :func:`pinch` in O(n^3) from the Hamiltonian's energy
-    blocks. The result is block-diagonal across the energy sectors and has
+    sectors. The result is block-diagonal across the energy sectors and has
     the same trace as rho.
     """
     _operand(rho, DensityMatrix, "density")
@@ -157,7 +124,7 @@ def is_superselection_compliant(p: Projector, h: Hamiltonian) -> bool:
 
     That is, whether the pinching leaves ``p`` unchanged:
     max_abs(pinch(p) - p) <= 1e-9, measured in the original basis. One O(n^3)
-    pinching per call, on the Hamiltonian's energy blocks. Compliant
+    pinching per call, on the Hamiltonian's energy sectors. Compliant
     projectors give probabilities that do not depend on the unperceived
     time: tr(p, evolve(rho, h, t)) is constant in t.
     """

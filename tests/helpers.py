@@ -161,7 +161,7 @@ def spectral_projectors(h: Hamiltonian) -> tuple[np.ndarray, ...]:
     with V_k the eigenvector columns of sector k. They sum to the identity and
     are mutually orthogonal; the library never builds them."""
     v = h.eigenvectors
-    blocks = (v[:, list(c)] for c in energy_blocks(h).clusters)
+    blocks = (v[:, list(indices)] for _, indices in energy_blocks(h))
     return tuple(b @ b.conj().T for b in blocks)
 
 

@@ -165,7 +165,7 @@ def _check_superselection(mode: RealityMode) -> tuple[bool, str]:
         worst["still"] = max(worst["still"], max_abs(evolve(rho_d, h, t).mat - rho_d.mat))
 
         blocks = energy_blocks(h)
-        gaps = np.diff(np.asarray(blocks.energies))
+        gaps = np.diff([energy for energy, _ in blocks])
         gap_min = float(gaps.min()) if gaps.size else 1.0
         times = np.linspace(0.0, 1e3 / gap_min, 20_000)
         worst["oracle"] = max(
@@ -173,9 +173,9 @@ def _check_superselection(mode: RealityMode) -> tuple[bool, str]:
         )
 
         # a compliant projector: the union of a random nonempty set of sectors
-        pick = rng.random(blocks.count) < 0.5
+        pick = rng.random(len(blocks)) < 0.5
         if not pick.any():
-            pick[int(rng.integers(0, blocks.count))] = True
+            pick[int(rng.integers(0, len(blocks)))] = True
         pmat = np.zeros((n, n), dtype=complex)
         for flag, pi in zip(pick, spectral_projectors(h)):
             if flag:

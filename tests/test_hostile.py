@@ -6,8 +6,8 @@ with each of its parameters in turn replaced by each value of ``HOSTILE`` (the
 others kept valid). Every call must return or raise a ``TraceProbError``; the
 suite's ``filterwarnings = error`` makes a warning fail it too.
 
-The record types ``SampleReport`` and ``EnergyBlocks`` gate their fields, so
-they are in the table. Left out: the exception classes, which check nothing;
+The record type ``SampleReport`` gates its four fields, so it is in the
+table. Left out: the exception classes, which check nothing;
 ``RealityMode``, a standard-library Enum whose values ``enforce_reality``
 gates; and the record types ``LabeledProjector`` and ``SystemSpec``, which hold
 what the spec-file loader built.
@@ -103,21 +103,12 @@ VALID = {
     "projector_meet": {"p": UP, "q": UP},
     "trace_prob": {"p": UP, "rho": RHO},
     "unitary_conjugate": {"u": np.eye(2), "a": np.eye(2)},
-    "SampleReport": {
-        "outcomes": ("a",),
-        "counts": (1,),
-        "total": 1,
-        "empirical_freqs": (1.0,),
-        "expected_probs": (1.0,),
-        "max_abs_deviation": 0.0,
-        "seed": 0,
-    },
+    "SampleReport": {"outcomes": ("a",), "counts": (1,), "expected_probs": (1.0,), "seed": 0},
     "deviation_check": {"report": sample_classical(CYCLE, 10, 0)},
     "sample_classical": {"c": CYCLE, "n_samples": 10, "seed": 0},
     "sample_measurement": {"partition": [UP, DOWN], "rho": RHO, "n_samples": 10, "seed": 0, "labels": ["u", "d"]},
     "algebra_from_obj": {"obj": json.loads((GOLDEN / "measure.json").read_text(encoding="utf-8"))["algebra"]},
     "load_system_spec": {"path": str(GOLDEN / "generic.json")},
-    "EnergyBlocks": {"clusters": ((0,),), "energies": (0.0,), "labels": np.array([0])},
     "Hamiltonian": {"mat": np.diag([0.0, 1.0])},
     "default_cluster_tol": {"h": H},
     "dephase": {"rho": RHO, "h": H},

@@ -545,9 +545,14 @@ HUGE_PAIR = PerceptionAlgebra.from_matrices([("a", 1e308 * np.eye(2)), ("b", 1e3
             NotUnitaryError,
             "unitarity defect inf exceeds 1e-09",
         ),
+        (
+            lambda: unitary_conjugate(HADAMARD, 1e308 * np.ones((2, 2))),
+            NonFiniteError,
+            "conjugate max-norm inf is not finite",
+        ),
         (lambda: union_operator(HUGE_PAIR, {"a", "b"}), ValidationError, "matrix entries must be finite (no NaN/Inf)"),
     ],
-    ids=["commuting-diagonals", "huge-identity-with-itself", "unitary-conjugate", "union-operator"],
+    ids=["commuting-diagonals", "huge-identity-with-itself", "unitary-conjugate", "conjugate-product", "union-operator"],
 )
 def test_overflowing_products_are_typed_refusals_without_a_warning(call, error, message):
     # pytest turns a numpy RuntimeWarning into an error, so a warning before the refusal fails here.

@@ -1,7 +1,8 @@
-"""Time evolution, energy blocks, dephasing, and superselection compliance."""
+"""Time evolution, energy sectors, dephasing, and superselection compliance."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -22,7 +23,6 @@ from helpers import (
 from traceprob import (
     DensityMatrix,
     DimensionMismatchError,
-    EnergyBlocks,
     Hamiltonian,
     NotHermitianError,
     NotRealError,
@@ -41,13 +41,21 @@ from traceprob import (
     trace_prob,
 )
 from traceprob.cli import main
-from traceprob.superselect import COMPLIANCE_TOL, pinch
+from traceprob.superselect import COMPLIANCE_TOL, _mean, pinch
 
 PLUS_STATE = np.full((2, 2), 0.5)
 
 
+def _sector_energies(h: Hamiltonian) -> list[float]:
+    return [energy for energy, _ in energy_blocks(h)]
+
+
+def _sector_indices(h: Hamiltonian) -> tuple[tuple[int, ...], ...]:
+    return tuple(indices for _, indices in energy_blocks(h))
+
+
 def _min_cluster_gap(h: Hamiltonian) -> float:
-    energies = energy_blocks(h).energies
+    energies = _sector_energies(h)
     if len(energies) < 2:
         return 1.0
     return float(np.min(np.diff(energies)))
@@ -140,22 +148,20 @@ def test_evolve_takes_a_huge_time_whose_phase_is_finite(energy, t):
 
 def test_energy_blocks_degenerate_pair():
     h = Hamiltonian(np.diag([0.0, 0.0, 5.0]))
-    blocks = energy_blocks(h)
-    assert blocks.clusters == ((0, 1), (2,))
-    assert blocks.count == 2
+    assert _sector_indices(h) == ((0, 1), (2,))
+    assert len(energy_blocks(h)) == 2
     np.testing.assert_allclose(spectral_projectors(h)[0], np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
 def test_energy_blocks_distinct_spectrum():
-    blocks = energy_blocks(Hamiltonian(np.diag([1.0, 2.0, 4.0, 8.0])))
-    assert blocks.count == 4
-    assert all(len(c) == 1 for c in blocks.clusters)
+    indices = _sector_indices(Hamiltonian(np.diag([1.0, 2.0, 4.0, 8.0])))
+    assert len(indices) == 4
+    assert all(len(c) == 1 for c in indices)
 
 
 def test_energy_blocks_zero_hamiltonian():
     h = Hamiltonian(np.zeros((3, 3)))
-    blocks = energy_blocks(h)
-    assert blocks.count == 1
+    assert len(energy_blocks(h)) == 1
     np.testing.assert_allclose(spectral_projectors(h)[0], np.eye(3), atol=1e-12)
 
 
@@ -165,7 +171,7 @@ def test_energy_blocks_resolution_of_identity():
         n = int(rng.integers(2, 7))
         h = random_hamiltonian(rng, n)
         projectors = spectral_projectors(h)
-        assert len(projectors) == energy_blocks(h).count
+        assert len(projectors) == len(energy_blocks(h))
         total = sum(projectors)
         assert max_abs(total - np.eye(n)) <= 1e-9
         for i in range(len(projectors)):
@@ -176,9 +182,9 @@ def test_energy_blocks_resolution_of_identity():
 def test_energy_blocks_cluster_gaps_exceed_tol():
     h = Hamiltonian(np.diag([0.0, 1e-12, 1.0, 1.0 + 1e-12, 2.0]))
     tol = default_cluster_tol(h)
-    blocks = energy_blocks(h)
-    assert blocks.count == 3
-    gaps = np.diff(blocks.energies)
+    energies = _sector_energies(h)
+    assert len(energies) == 3
+    gaps = np.diff(energies)
     assert np.all(gaps > tol)
 
 
@@ -189,14 +195,13 @@ def test_energy_blocks_chain_small_gaps_into_one_wide_sector():
     levels = 0.9 * tol * np.arange(64)
     h = Hamiltonian(np.diag(levels))
     assert default_cluster_tol(h) == tol
-    blocks = energy_blocks(h)
-    assert blocks.count == 1
-    assert blocks.clusters == (tuple(range(64)),)
+    assert len(energy_blocks(h)) == 1
+    assert _sector_indices(h) == (tuple(range(64)),)
     width = h.energies[-1] - h.energies[0]
     assert width / tol == pytest.approx(56.7)
     # One gap just above tol splits the chain there, and only there.
     levels[32:] += 0.2 * tol
-    assert energy_blocks(Hamiltonian(np.diag(levels))).clusters == (tuple(range(32)), tuple(range(32, 64)))
+    assert _sector_indices(Hamiltonian(np.diag(levels))) == (tuple(range(32)), tuple(range(32, 64)))
 
 
 def test_default_cluster_tol_scales_with_spectrum():
@@ -310,7 +315,7 @@ def test_compliance_of_whole_sectors_at_n_1024():
     # 256 four-fold sectors in a random orthogonal basis; the projector spans the first 128 of them.
     v = random_basis(np.random.default_rng(1024), 1024, real=True)
     h = Hamiltonian((v * np.repeat(np.arange(256.0), 4)) @ v.conj().T)
-    assert energy_blocks(h).count == 256
+    assert len(energy_blocks(h)) == 256
     half = v[:, :512]
     assert is_superselection_compliant(Projector(half @ half.conj().T), h)
 
@@ -321,8 +326,7 @@ def test_compliant_probabilities_are_time_independent():
         n = int(rng.integers(2, 7))
         rho = random_density(rng, n)
         h = random_hamiltonian(rng, n)
-        blocks = energy_blocks(h)
-        keep = rng.integers(0, 2, size=blocks.count)
+        keep = rng.integers(0, 2, size=len(energy_blocks(h)))
         if not keep.any():
             keep[0] = 1
         p = Projector(sum(pi for pi, k in zip(spectral_projectors(h), keep) if k))
@@ -339,11 +343,11 @@ def test_compliant_probabilities_are_time_independent():
 def test_pinching_matches_sector_sum(n):
     rng = np.random.default_rng(61 + n)
     h = degenerate_hamiltonian(rng, n)
-    blocks = energy_blocks(h)
-    assert max(len(c) for c in blocks.clusters) > 1
+    indices = _sector_indices(h)
+    assert max(len(c) for c in indices) > 1
     rho = random_density(rng, n)
     assert max_abs(dephase(rho, h).mat - sector_sum(rho.mat, h)) <= 1e-12
-    in_sector = h.eigenvectors[:, list(blocks.clusters[0][:1])]
+    in_sector = h.eigenvectors[:, list(indices[0][:1])]
     candidates = [
         Projector(sum(spectral_projectors(h)[::2])),  # whole sectors
         Projector(in_sector @ in_sector.conj().T),  # part of one sector
@@ -359,20 +363,19 @@ def test_pinching_matches_sector_sum(n):
     assert verdicts == [True, True, False]
 
 
-def test_energy_blocks_built_once_and_sealed():
-    rng = np.random.default_rng(62)
-    h = degenerate_hamiltonian(rng, 8)
-    assert energy_blocks(h) is energy_blocks(h)
+def test_sectors_are_sealed():
+    h = degenerate_hamiltonian(np.random.default_rng(62), 8)
     with pytest.raises(AttributeError):
-        h._blocks = None
+        h.sectors = None
+    with pytest.raises(AttributeError):
+        del h.sectors
 
 
-def test_energy_blocks_labels():
+def test_hamiltonian_sectors_label_each_eigen_index_read_only():
     h = Hamiltonian(np.diag([2.0, 0.0, 0.0, 5.0]))
-    blocks = energy_blocks(h)
-    assert blocks.labels.tolist() == [0, 0, 1, 2]
+    assert h.sectors.tolist() == [0, 0, 1, 2]
     with pytest.raises(ValueError):
-        blocks.labels[0] = 1
+        h.sectors[0] = 1
 
 
 def test_hamiltonian_holds_the_read_only_spectrum_of_hermitian_eig():
@@ -384,29 +387,14 @@ def test_hamiltonian_holds_the_read_only_spectrum_of_hermitian_eig():
             held[0] = 9.0
 
 
-def test_energy_blocks_owns_a_read_only_copy_of_its_labels():
-    caller = np.array([0, 0, 1])
-    blocks = EnergyBlocks(clusters=((0, 1), (2,)), energies=(0.0, 1.0), labels=caller)
-    assert caller.flags.writeable and not blocks.labels.flags.writeable
-    assert EnergyBlocks(clusters=((0,),), energies=(0.0,), labels=[0]).labels.tolist() == [0]
-
-
-@pytest.mark.parametrize(
-    "labels, message",
-    [
-        (None, "labels must be a 1-D array of integers, got NoneType"),
-        ("x", "labels must be a 1-D array of integers, got str"),
-        ([0.0], "labels must be a 1-D array of integers, got list"),
-        (0, "labels must be a 1-D array of integers, got int"),
-        (np.zeros((1, 1), dtype=int), "labels must be a 1-D array of integers, got ndarray"),
-        ([[0], [0, 1]], "labels must be a 1-D array of integers, got list"),
-    ],
-    ids=["none", "str", "float", "scalar", "2-d", "ragged"],
-)
-def test_energy_blocks_refuses_labels_that_are_no_integer_array(labels, message):
-    with pytest.raises(ValidationError) as info:
-        EnergyBlocks(clusters=((0,),), energies=(0.0,), labels=labels)
-    assert str(info.value) == message
+def test_energy_blocks_are_the_runs_of_equal_sectors():
+    rng = np.random.default_rng(66)
+    for n in (1, 2, 5, 12, 40):
+        h = degenerate_hamiltonian(rng, n)
+        runs = [list(g) for _, g in itertools.groupby(range(n), key=lambda i: h.sectors[i])]
+        assert [list(indices) for _, indices in energy_blocks(h)] == runs
+        assert [energy for energy, _ in energy_blocks(h)] == [_mean(h.energies[run]) for run in runs]
+        assert h.sectors.dtype.kind == "i" and not h.sectors.flags.writeable
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -414,20 +402,19 @@ def test_energy_blocks_refuses_labels_that_are_no_integer_array(labels, message)
 def test_clusters_invariant_under_shift_and_scale(n, c):
     rng = np.random.default_rng(64 + n)
     h = degenerate_hamiltonian(rng, n)
-    reference = energy_blocks(h)
-    assert reference.count < n
-    shifted = energy_blocks(Hamiltonian(h.mat + c * np.eye(n)))
-    scaled = energy_blocks(Hamiltonian(c * h.mat))
-    for blocks in (shifted, scaled):
-        assert blocks.clusters == reference.clusters
-        assert blocks.labels.tolist() == reference.labels.tolist()
+    assert len(energy_blocks(h)) < n
+    shifted = Hamiltonian(h.mat + c * np.eye(n))
+    scaled = Hamiltonian(c * h.mat)
+    for other in (shifted, scaled):
+        assert _sector_indices(other) == _sector_indices(h)
+        assert other.sectors.tolist() == h.sectors.tolist()
 
 
 def test_sector_energies_are_the_numpy_means_of_their_levels():
     h = degenerate_hamiltonian(np.random.default_rng(65), 12)
     blocks = energy_blocks(h)
-    assert blocks.count < 12
-    assert blocks.energies == tuple(float(np.mean(h.energies[list(c)])) for c in blocks.clusters)
+    assert len(blocks) < 12
+    assert [energy for energy, _ in blocks] == [float(np.mean(h.energies[list(c)])) for _, c in blocks]
 
 
 def _refuse_constant(name):

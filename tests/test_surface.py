@@ -9,8 +9,8 @@ loads no third-party package but its two declared dependencies.
 The same rule holds for the public methods and properties of the public
 classes: each must be read as an attribute by those sources. The scan goes by
 name, not by type, so a member is counted as read when any object's attribute
-of that name is read. It could not tell that ``EnergyBlocks.projectors`` was
-read only by tests, because ``spec.projectors`` has the same name.
+of that name is read. A property named ``projectors`` would pass it whoever
+read it, because ``spec.projectors`` has the same name.
 """
 
 from __future__ import annotations
