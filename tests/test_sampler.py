@@ -237,28 +237,36 @@ REPORT = {"outcomes": ("a", "b"), "counts": (3, 1), "expected_probs": (0.5, 0.5)
         ("outcomes", None, "outcomes must be a sequence, got NoneType"),
         ("outcomes", "ab", "outcomes must be a sequence, got str"),
         ("counts", 4, "counts must be a sequence, got int"),
+        ("counts", np.array([3, 1]), "counts must be a sequence, got ndarray"),
         ("expected_probs", b"ab", "expected_probs must be a sequence, got bytes"),
         ("counts", (3.0, 1), "counts[0] must be an integer, got float"),
         ("counts", (5, -1), "counts[1] must be >= 0"),
         ("expected_probs", (2.0, 0.5), "expected_probs[0] must be a finite real in [0, 1], got 2.0"),
         ("expected_probs", (0.5, float("nan")), "expected_probs[1] must be a finite real in [0, 1], got nan"),
         ("expected_probs", (-0.5, 0.5), "expected_probs[0] must be a finite real in [0, 1], got -0.5"),
+        ("expected_probs", ("x", 0.5), "expected_probs[0] must be a real number, got str"),
+        ("expected_probs", (0.5, 10**400), "expected_probs[1] 100000000000000000...0000000000000000000 is beyond the float range"),
         ("seed", None, "seed must be an integer, got NoneType"),
         ("seed", "x", "seed must be an integer, got str"),
+        ("seed", 0.0, "seed must be an integer, got float"),
         ("seed", -1, "seed must be >= 0"),
     ],
     ids=[
         "outcomes-none",
         "outcomes-str",
         "counts-int",
+        "counts-array",
         "probs-bytes",
         "count-float",
         "count-negative",
         "prob-above-one",
         "prob-nan",
         "prob-negative",
+        "prob-str",
+        "prob-huge",
         "seed-none",
         "seed-str",
+        "seed-float",
         "seed-negative",
     ],
 )

@@ -378,6 +378,28 @@ def test_hamiltonian_sectors_label_each_eigen_index_read_only():
         h.sectors[0] = 1
 
 
+@pytest.mark.parametrize(
+    "mat, sectors",
+    [
+        ([[3.0]], [0]),
+        (np.zeros((3, 3)), [0, 0, 0]),
+        (np.diag([1.0, 2.0, 4.0, 8.0]), [0, 1, 2, 3]),
+        (np.diag([0.0, 1e-12, 1.0, 1.0 + 1e-12, 2.0]), [0, 0, 1, 1, 2]),
+        ([[1.0, 1j], [-1j, 1.0]], [0, 1]),
+        (np.diag([-1e308, -1e308, 1e308]), [0, 0, 1]),
+    ],
+    ids=["one-level", "zero", "distinct", "near-degenerate", "complex", "gap-beyond-float-range"],
+)
+def test_sectors_are_a_read_only_integer_labelling_of_the_eigen_indices(mat, sectors):
+    h = Hamiltonian(np.asarray(mat))
+    assert h.sectors.tolist() == sectors
+    assert h.sectors.ndim == 1 and h.sectors.dtype.kind == "i" and not h.sectors.flags.writeable
+    # a new sector starts exactly where the gap to the previous level exceeds the cluster tolerance
+    with np.errstate(over="ignore"):
+        splits = np.diff(h.energies) > default_cluster_tol(h)
+    assert np.diff(h.sectors).tolist() == splits.astype(int).tolist()
+
+
 def test_hamiltonian_holds_the_read_only_spectrum_of_hermitian_eig():
     h = random_hamiltonian(np.random.default_rng(63), 6)
     values, vectors = hermitian_eig(h.mat)
