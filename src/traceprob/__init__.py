@@ -66,7 +66,7 @@ from .quantum import (
     unitary_conjugate,
 )
 from .sampler import SampleReport, deviation_check, sample_classical, sample_measurement
-from .specfile import LabeledProjector, SystemSpec, algebra_from_obj, load_system_spec
+from .specfile import SystemSpec, algebra_from_obj, load_system_spec
 from .superselect import (
     Hamiltonian,
     default_cluster_tol,

@@ -80,10 +80,13 @@ class ClassicalCycle:
             pairs.extend(map(tuple, entries))  # on failure the pairs made so far are kept for the scan
             if set(map(len, pairs)) - {2}:
                 raise ValueError
-            states = tuple(map(operator.index, map(operator.itemgetter(0), pairs)))
+            states = tuple(map(operator.itemgetter(0), pairs))
             durations = tuple(map(operator.itemgetter(1), pairs))
-            if not all(issubclass(t, (float, int, numbers.Real)) for t in set(map(type, durations))):
-                raise TypeError
+            if bool in set(map(type, states)) or not all(
+                t is not bool and issubclass(t, (float, int, numbers.Real)) for t in set(map(type, durations))
+            ):
+                raise TypeError  # a bool is no state or duration
+            states = tuple(map(operator.index, states))
             durations = tuple(map(float, durations))
         except (TypeError, ValueError, OverflowError):
             raise _first_bad_entry(pairs + entries[len(pairs) :]) from None

@@ -17,14 +17,14 @@ import sys
 
 import numpy as np
 
-from .classical import classical_density, classical_prob, dwell_fractions
+from .classical import PerceptionSet, classical_density, classical_prob, dwell_fractions
 from .classical import diag_projector  # noqa: F401  (perfbench/tracer.py wraps cli.diag_projector)
 from .errors import NotAPartitionError, TraceProbError, ValidationError, located
 from .matcore import DEFAULT_TOL, _tol, trace
 from .measure import measure_of, normalized_prob, total_measure
 from .quantum import DensityMatrix, trace_prob
 from .sampler import deviation_check, partition_refusal, sample_classical, sample_measurement
-from .specfile import SystemSpec, load_system_spec
+from .specfile import SystemSpec, _projector, load_system_spec
 from .superselect import dephase, energy_blocks, is_superselection_compliant
 
 
@@ -122,20 +122,20 @@ def _lacks(spec: SystemSpec, command: str) -> ValidationError | None:
 
 
 def cmd_classical(spec: SystemSpec, args) -> dict:
-    for lp in spec.projectors:
-        if lp.pset is None:
-            with located(f"projector {reprlib.repr(lp.label)}"):
+    for label, entry in spec.projectors:
+        if not isinstance(entry, PerceptionSet):
+            with located(f"projector {reprlib.repr(label)}"):
                 raise ValidationError("must be a characteristic vector for the classical command")
     f = dwell_fractions(spec.cycle)
     rho = DensityMatrix(classical_density(f), mode=spec.mode, tol=args.tol)
     sets = []
-    for lp in spec.projectors:
-        p_cl = classical_prob(lp.pset, f)
-        p_tr = trace_prob(lp.projector, rho)
+    for label, pset in spec.projectors:
+        p_cl = classical_prob(pset, f)
+        p_tr = trace_prob(_projector(pset), rho)
         sets.append(
             {
-                "label": lp.label,
-                "chi": list(lp.pset.chi),
+                "label": label,
+                "chi": list(pset.chi),
                 "classical_prob": p_cl,
                 "trace_prob": p_tr,
                 "abs_diff": abs(p_cl - p_tr),
@@ -164,11 +164,12 @@ def cmd_quantum(spec: SystemSpec, args) -> dict:
     have_h = spec.hamiltonian is not None
     rho_deph = dephase(spec.rho, spec.hamiltonian) if have_h else None
     entries = []
-    for lp in spec.projectors:
-        entry = {"label": lp.label, "probability": trace_prob(lp.projector, spec.rho)}
+    for label, e in spec.projectors:
+        p = _projector(e)
+        entry = {"label": label, "probability": trace_prob(p, spec.rho)}
         if have_h:
-            entry["compliant"] = is_superselection_compliant(lp.projector, spec.hamiltonian)
-            entry["dephased_probability"] = trace_prob(lp.projector, rho_deph)
+            entry["compliant"] = is_superselection_compliant(p, spec.hamiltonian)
+            entry["dephased_probability"] = trace_prob(p, rho_deph)
         entries.append(entry)
     payload = {"projectors": entries}
     if have_h:
@@ -232,13 +233,8 @@ def cmd_sample(spec: SystemSpec, args) -> dict:
     if spec.cycle is not None:
         report = sample_classical(spec.cycle, args.n, args.seed)
     else:
-        report = sample_measurement(
-            [lp.projector for lp in spec.projectors],
-            spec.rho,
-            args.n,
-            args.seed,
-            labels=[lp.label for lp in spec.projectors],
-        )
+        labels, entries = zip(*spec.projectors)
+        report = sample_measurement([_projector(e) for e in entries], spec.rho, args.n, args.seed, labels=labels)
     payload = report.to_obj()
     payload["deviation_check_5sigma"] = deviation_check(report)
     return payload
@@ -271,7 +267,7 @@ def cmd_check(spec: SystemSpec, args) -> dict:
                 with located(command):
                     ran[command] = _COMMANDS[command](spec, run_args)
             except NotAPartitionError:  # projectors that are no partition are quantum input only
-                if partition_refusal([lp.projector for lp in spec.projectors], spec.rho.dim) is None:
+                if partition_refusal([_projector(e) for _, e in spec.projectors], spec.rho.dim) is None:
                     raise  # a partition's refusal, of its outcome weights, stands
     names = ("cycle", "rho", "hamiltonian", "projectors", "algebra")
     fields = [name for name in names if getattr(spec, name) not in (None, ())]
@@ -279,7 +275,7 @@ def cmd_check(spec: SystemSpec, args) -> dict:
     if "quantum" in ran and spec.hamiltonian is not None:  # quantum computed each verdict
         payload["compliant"] = {e["label"]: e["compliant"] for e in ran["quantum"]["projectors"]}
     elif (h := spec.hamiltonian) is not None and spec.projectors:  # without rho, quantum did not run
-        payload["compliant"] = {lp.label: is_superselection_compliant(lp.projector, h) for lp in spec.projectors}
+        payload["compliant"] = {label: is_superselection_compliant(_projector(e), h) for label, e in spec.projectors}
     return payload
 
 

@@ -218,10 +218,12 @@ def _is_number_type(t: type) -> bool:
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
-# The library's scalar rules, for the arguments of its functions rather than JSON values.
+# The library's scalar rules, for the arguments of its functions rather than JSON values; neither admits a bool.
 def _integer(x, what: str) -> int:
     """``x`` as an int: Python and numpy integers only, so 1.9 is refused rather than truncated."""
     try:
+        if isinstance(x, bool):
+            raise TypeError
         return operator.index(x)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {type(x).__name__}") from None
@@ -235,7 +237,7 @@ def _real(x, what: str) -> float:
     """``x`` as a float: real numbers only, so '0.5' or None is refused rather
     than parsed, and one beyond the float range (an int such as 10**400) is
     refused rather than raising OverflowError."""
-    if not isinstance(x, (float, int, numbers.Real)):  # float and int skip the slower ABC check
+    if isinstance(x, bool) or not isinstance(x, (float, int, numbers.Real)):  # float and int skip the ABC check
         raise ValidationError(f"{what} must be a real number, got {type(x).__name__}")
     try:
         return float(x)
@@ -244,9 +246,7 @@ def _real(x, what: str) -> float:
 
 
 def _tol(x, what: str = "tol") -> float:
-    """``x`` as a tolerance: a finite real > 0, and not a bool, which ``_real`` reads as 0 or 1."""
-    if isinstance(x, bool):
-        raise ValidationError(f"{what} must be a real number, got bool")
+    """``x`` as a tolerance: a finite real > 0."""
     if not (math.isfinite(tol := _real(x, what)) and tol > 0.0):
         raise ValidationError(f"{what} must be finite and > 0, got {tol!r}")
     return tol

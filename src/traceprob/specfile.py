@@ -3,8 +3,9 @@
 A system file may carry any subset of: a classical cycle, a density matrix,
 a Hamiltonian, labeled projectors (as matrices or as characteristic vectors
 over the basis states), and a perception algebra. Every matrix present is
-validated through its library class at load time, and all dimensions must
-agree. This module is the one that knows the file's keys and forms.
+validated through its library class at load time, a characteristic vector is
+held as its ``PerceptionSet``, and all dimensions must agree. This module is
+the one that knows the file's keys and forms.
 """
 
 from __future__ import annotations
@@ -33,27 +34,24 @@ DIMS_SHOWN = 3  # distinct dimensions named in a mismatch refusal
 
 
 @dataclass(frozen=True)
-class LabeledProjector:
-    """A projector with its spec-file label; pset is set when it came in as a
-    characteristic vector."""
-
-    label: str
-    projector: Projector
-    pset: PerceptionSet | None = None
-
-
-@dataclass(frozen=True)
 class SystemSpec:
     """Parsed content of one system description file; ``dim`` is the common
-    dimension of its fields, or None when no field has one."""
+    dimension of its fields, or None when no field has one. ``projectors``
+    holds ``(label, entry)`` pairs in file order; an entry is a ``Projector``
+    for matrix rows and a ``PerceptionSet`` for a characteristic vector."""
 
     cycle: ClassicalCycle | None
     rho: DensityMatrix | None
     hamiltonian: Hamiltonian | None
-    projectors: tuple[LabeledProjector, ...]
+    projectors: tuple[tuple[str, Projector | PerceptionSet], ...]
     algebra: PerceptionAlgebra | None
     mode: RealityMode
     dim: int | None
+
+
+def _projector(entry: Projector | PerceptionSet) -> Projector:
+    """The projector of a ``projectors`` entry: a set's is its diagonal 0/1 matrix, built on each call."""
+    return entry if isinstance(entry, Projector) else Projector(diag_projector(entry))
 
 
 def _is_char_vector(value) -> bool:
@@ -207,28 +205,26 @@ def _spec_from_obj(obj, tol: float) -> SystemSpec:
     rho = _operator(DensityMatrix, obj["rho"], "rho", mode, tol) if "rho" in obj else None
     hamiltonian = _operator(Hamiltonian, obj["hamiltonian"], "hamiltonian", mode, tol) if "hamiltonian" in obj else None
 
-    projectors: list[LabeledProjector] = []
+    projectors = []
     if "projectors" in obj:
         raw = obj["projectors"]
         if not isinstance(raw, dict) or not raw:
             raise SpecParseError("projectors must be a nonempty object of label -> value")
         for label, value in raw.items():
             where = f"projector {reprlib.repr(label)}"
-            with located(where):
-                pset = PerceptionSet(value) if _is_char_vector(value) else None
-            if pset is None:
-                projector = _operator(Projector, value, where, mode, tol)
+            if _is_char_vector(value):
+                with located(where):
+                    projectors.append((label, PerceptionSet(value)))
             else:
-                projector = Projector(diag_projector(pset), mode=mode, tol=tol)
-            projectors.append(LabeledProjector(label, projector, pset))
+                projectors.append((label, _operator(Projector, value, where, mode, tol)))
 
     algebra = algebra_from_obj(obj["algebra"], mode=mode, tol=tol) if "algebra" in obj else None
 
     fields = [("rho", rho), ("hamiltonian", hamiltonian)]
-    fields += [(f"projector {reprlib.repr(lp.label)}", lp.projector) for lp in projectors]
+    fields += [(f"projector {reprlib.repr(label)}", entry) for label, entry in projectors]
     fields.append(("algebra", algebra))
     dims = [("cycle", cycle.n)] if cycle is not None else []
-    dims += [(name, value.dim) for name, value in fields if value is not None]
+    dims += [(name, v.n if isinstance(v, PerceptionSet) else v.dim) for name, v in fields if v is not None]
     first_field: dict[int, list] = {}  # dimension -> [first field with it, number of fields with it]
     for name, dim in dims:
         first_field.setdefault(dim, [name, 0])[1] += 1

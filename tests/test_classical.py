@@ -120,8 +120,9 @@ def test_state_at_walks_schedule():
         (float("nan"), "time must be finite, got nan"),
         (float("inf"), "time must be finite, got inf"),
         ("1", "time must be a real number, got str"),
+        (True, "time must be a real number, got bool"),
     ],
-    ids=["nan", "inf", "string"],
+    ids=["nan", "inf", "string", "bool"],
 )
 def test_state_at_refuses_times_that_are_not_finite_reals(t, match):
     with pytest.raises(ValidationError, match=match):

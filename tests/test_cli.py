@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import matrix_to_rows
+from helpers import matrix_to_rows, random_density_matrix, random_hermitian
 from traceprob import Projector, cli, sampler
 from traceprob.cli import json_text, main
 
@@ -826,17 +826,57 @@ def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
         assert run_cli(capsys, command, "--spec", spec)[0] == 0
 
 
-def test_classical_uses_the_projectors_validated_at_load(tmp_path, capsys, monkeypatch):
+def _count_projector_builds(monkeypatch) -> list:
     built = []
     init = Projector.__init__
     monkeypatch.setattr(Projector, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
-    spec = write_spec(
-        tmp_path, {"cycle": {"n": 2, "schedule": [[1, 1.0], [2, 3.0]]}, "projectors": {"a": [1, 0], "b": [1, 1]}}
-    )
-    code, out, _ = run_cli(capsys, "classical", "--spec", spec, "--json")
+    return built
+
+
+CYCLE_WITH_SETS = {"cycle": {"n": 2, "schedule": [[1, 1.0], [2, 3.0]]}, "projectors": {"a": [1, 0], "b": [1, 1]}}
+
+
+def test_classical_builds_one_projector_per_set(tmp_path, capsys, monkeypatch):
+    built = _count_projector_builds(monkeypatch)
+    code, out, _ = run_cli(capsys, "classical", "--spec", write_spec(tmp_path, CYCLE_WITH_SETS), "--json")
     assert code == 0
     assert [s["trace_prob"] for s in json.loads(out)["sets"]] == [0.25, 1.0]
     assert len(built) == 2
+
+
+def test_sample_on_a_cycle_builds_no_projector_for_its_sets(tmp_path, capsys, monkeypatch):
+    # A characteristic vector is held as its set; sampling a cycle reads no projector.
+    built = _count_projector_builds(monkeypatch)
+    code, out, _ = run_cli(capsys, "sample", "--spec", write_spec(tmp_path, CYCLE_WITH_SETS), "--json")
+    assert code == 0
+    assert json.loads(out)["outcomes"] == ["state-1", "state-2"]
+    assert built == []
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_sets_as_vectors_and_as_diagonal_matrices_print_the_same(tmp_path, capsys, n):
+    # Three sets partition the basis. The Hamiltonian is diagonal on the first
+    # half of it and a random Hermitian block on the rest, so the first set,
+    # inside the first half, is compliant and the others are not.
+    rng = np.random.default_rng(n)
+    half = n // 2
+    h = np.zeros((n, n), dtype=complex)
+    h[:half, :half] = np.diag(rng.standard_normal(half))
+    h[half:, half:] = random_hermitian(rng, n - half)
+    groups = [range(half // 2), range(half // 2, half + 1), range(half + 1, n)]
+    chis = [np.isin(np.arange(n), list(g)).astype(int) for g in groups]
+    base = {"rho": matrix_to_rows(random_density_matrix(rng, n)), "hamiltonian": matrix_to_rows(h)}
+    forms = {
+        "vectors": {f"s{k}": chi.tolist() for k, chi in enumerate(chis)},
+        "matrices": {f"s{k}": matrix_to_rows(np.diag(chi)) for k, chi in enumerate(chis)},
+    }
+    paths = [write_spec(tmp_path, base | {"projectors": p}, f"{name}.json") for name, p in forms.items()]
+    for command in (["quantum"], ["sample", "--n", "1000", "--seed", "3"], ["check"]):
+        for flags in ([], ["--json"]):
+            first, second = (run_cli(capsys, *command, "--spec", path, *flags) for path in paths)
+            assert first == second
+            assert first[0] == 0
+    assert list(json.loads(first[1])["compliant"].values()) == [True, False, False]
 
 
 def test_quantum_needs_rho_and_projectors(tmp_path, capsys):

@@ -9,8 +9,8 @@ suite's ``filterwarnings = error`` makes a warning fail it too.
 The record type ``SampleReport`` gates its four fields, so it is in the
 table. Left out: the exception classes, which check nothing;
 ``RealityMode``, a standard-library Enum whose values ``enforce_reality``
-gates; and the record types ``LabeledProjector`` and ``SystemSpec``, which hold
-what the spec-file loader built.
+gates; and the record type ``SystemSpec``, which holds what the spec-file
+loader built.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ HOSTILE = {
     "object()": lambda: object(),
 }
 
-LEFT_OUT = {"RealityMode", "LabeledProjector", "SystemSpec"}
+LEFT_OUT = {"RealityMode", "SystemSpec"}
 
 UP = Projector(np.diag([1.0, 0.0]))
 DOWN = Projector(np.diag([0.0, 1.0]))

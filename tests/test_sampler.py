@@ -388,6 +388,7 @@ TWO_STATES = ClassicalCycle(2, ((1, 1.0), (2, 1.0)))
         (lambda: sample_classical(TWO_STATES, 2.9, 0), "n_samples must be an integer, got float"),
         (lambda: sample_classical(TWO_STATES, "12", 0), "n_samples must be an integer, got str"),
         (lambda: sample_classical(TWO_STATES, None, 0), "n_samples must be an integer, got NoneType"),
+        (lambda: sample_classical(TWO_STATES, True, 0), "n_samples must be an integer, got bool"),
         (lambda: sample_classical(TWO_STATES, 10, 1.7), "seed must be an integer, got float"),
         (
             lambda: sample_measurement([Projector(np.eye(2))], DensityMatrix(PLUS_STATE), 2.9, 0),
@@ -395,7 +396,7 @@ TWO_STATES = ClassicalCycle(2, ((1, 1.0), (2, 1.0)))
         ),
         (lambda: time_average_indicator(TWO_STATES, steps=2.5), "steps must be an integer, got float"),
     ],
-    ids=["n-float", "n-str", "n-none", "seed-float", "measurement-n-float", "steps-float"],
+    ids=["n-float", "n-str", "n-none", "n-bool", "seed-float", "measurement-n-float", "steps-float"],
 )
 def test_counts_and_seeds_are_refused_rather_than_coerced(call, message):
     with pytest.raises(ValidationError) as info:

@@ -36,8 +36,8 @@ def test_every_traced_name_resolves():
 
 
 def test_cli_keeps_diag_projector_for_the_tracer():
-    # cli no longer calls diag_projector (classical reuses the projectors built
-    # at load), but the tracer wraps it under the cli name.
+    # cli does not call diag_projector (specfile builds each set's projector
+    # where a number is written), but the tracer wraps it under the cli name.
     spans = {(owner, attr) for owner, attr, _, _ in _load_tracer().targets(traceprob) if not isinstance(owner, dict)}
     assert (traceprob.cli, "diag_projector") in spans
     assert traceprob.cli.diag_projector is traceprob.classical.diag_projector
