@@ -23,7 +23,8 @@ from .matcore import _FloatOverflow, _integer, _iterate, _operand, _real, _time,
 
 FRACTION_SUM_TOL = 1e-9
 MISSING_SHOWN = 10  # missing states named in a refusal
-MAX_STEPS = np.iinfo(np.intp).max // 8  # the longest float array numpy can size
+# The longest float array numpy can size; np.arange would refuse more steps, or wrap them to an empty grid.
+MAX_STEPS = np.iinfo(np.intp).max // 8
 
 
 def _first_bad_entry(entries: list) -> ValidationError:
@@ -216,11 +217,7 @@ def time_average_indicator(c: ClassicalCycle, steps: int) -> np.ndarray:
     error O(1/steps).
     """
     _operand(c, ClassicalCycle, "cycle")
-    steps = _integer(steps, "steps")
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
-    if steps > MAX_STEPS:  # np.arange would refuse it, or wrap it to an empty grid
-        raise ValidationError(f"steps must be <= {MAX_STEPS}")
+    steps = _integer(steps, "steps", 1, MAX_STEPS)
     midpoints = (np.arange(steps, dtype=float) + 0.5) * (c.period / steps)
     states = c._states[c._dwell_indices(midpoints)]
     counts = np.bincount(states - 1, minlength=c.n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import reprlib
 import sys
 
@@ -373,7 +374,14 @@ def main(argv=None) -> int:
         except OSError as exc:
             return _fail("Output", f"cannot write {args.out}: {exc.strerror or exc}")
     else:
-        sys.stdout.write(output)
+        try:
+            sys.stdout.write(output)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe or a full disk; the interpreter's last flush goes to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return _fail("Output", f"cannot write stdout: {exc.strerror or exc}")
     return 0
 
 

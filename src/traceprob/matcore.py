@@ -219,14 +219,20 @@ def _is_number_type(t: type) -> bool:
 
 
 # The library's scalar rules, for the arguments of its functions rather than JSON values; neither admits a bool.
-def _integer(x, what: str) -> int:
-    """``x`` as an int: Python and numpy integers only, so 1.9 is refused rather than truncated."""
+def _integer(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``x`` as an int: Python and numpy integers only, so 1.9 is refused rather than
+    truncated; then refused when below ``lo`` or above ``hi``, where given."""
     try:
         if isinstance(x, bool):
             raise TypeError
-        return operator.index(x)
+        value = operator.index(x)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {type(x).__name__}") from None
+    if lo is not None and value < lo:
+        raise ValidationError(f"{what} must be >= {lo}")
+    if hi is not None and value > hi:
+        raise ValidationError(f"{what} must be <= {hi}")
+    return value
 
 
 class _FloatOverflow(ValidationError):

@@ -47,15 +47,13 @@ class SampleReport:
         if not (len(self.counts) == len(self.expected_probs) == len(self.outcomes)):
             raise ValidationError("report fields must have one entry per outcome")
         for i, c in enumerate(self.counts):
-            if _integer(c, f"counts[{i}]") < 0:
-                raise ValidationError(f"counts[{i}] must be >= 0")
+            _integer(c, f"counts[{i}]", 0)
         if self.total < 1:
             raise ValidationError("total must be >= 1")
         for i, x in enumerate(self.expected_probs):
             if not 0.0 <= (v := _real(x, f"expected_probs[{i}]")) <= 1.0:
                 raise ValidationError(f"expected_probs[{i}] must be a finite real in [0, 1], got {v!r}")
-        if _integer(self.seed, "seed") < 0:
-            raise ValidationError("seed must be >= 0")
+        _integer(self.seed, "seed", 0)
 
     @property
     def total(self) -> int:
@@ -80,17 +78,6 @@ def _build_report(outcomes: Sequence[str], counts: np.ndarray, expected: Sequenc
     return SampleReport(tuple(outcomes), tuple(int(c) for c in counts), tuple(float(e) for e in expected), seed)
 
 
-def _check_draw_args(n_samples: int, seed: int) -> tuple[int, int]:
-    n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
-    if n_samples > MAX_SAMPLES:
-        raise ValidationError("n_samples must be <= 2**63 - 1")
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
-    return n_samples, seed
-
-
 def sample_classical(c: ClassicalCycle, n_samples: int, seed: int) -> SampleReport:
     """Tally n_samples times uniform over [0, T) by the state they fall in.
 
@@ -100,7 +87,7 @@ def sample_classical(c: ClassicalCycle, n_samples: int, seed: int) -> SampleRepo
     on the weights.
     """
     _operand(c, ClassicalCycle, "cycle")
-    n_samples, seed = _check_draw_args(n_samples, seed)
+    n_samples, seed = _integer(n_samples, "n_samples", 1, MAX_SAMPLES), _integer(seed, "seed", 0)
     fractions = dwell_fractions(c).f
     counts = np.random.default_rng(seed).multinomial(n_samples, fractions)
     labels = [f"state-{i}" for i in range(1, c.n + 1)]
@@ -138,7 +125,7 @@ def sample_measurement(
     counts. Weight sums off 1 by more than 1e-9 are refused.
     """
     _operand(rho, DensityMatrix, "density")
-    n_samples, seed = _check_draw_args(n_samples, seed)
+    n_samples, seed = _integer(n_samples, "n_samples", 1, MAX_SAMPLES), _integer(seed, "seed", 0)
     partition = tuple(_iterate(partition, "partition", "an iterable of Projectors"))
     for i, p in enumerate(partition):
         _operand(p, Projector, f"partition entry {i}")

@@ -19,7 +19,6 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
 
 import orjson
 
@@ -101,29 +100,26 @@ def algebra_from_obj(
 
 
 def _parse_cycle(obj) -> ClassicalCycle:
-    """The cycle of a spec file. JSON types are checked on the sets of distinct
-    types and lengths; only on failure is the schedule scanned again, to name
-    the first bad entry. ``ClassicalCycle`` checks the rest."""
+    """The cycle of a spec file. ``ClassicalCycle`` decides the schedule in its
+    one pass; only when it refuses is the schedule scanned, so that a broken
+    ``[state, duration]`` form or JSON type anywhere in it is a SpecParseError."""
     if not isinstance(obj, dict) or set(obj) != {"n", "schedule"}:
         raise SpecParseError('cycle must be an object with keys "n" and "schedule"')
     n, schedule = obj["n"], obj["schedule"]
     if not _is_int_type(type(n)):
         raise SpecParseError("cycle n must be an integer")
-    if not (
-        isinstance(schedule, list)
-        and all(issubclass(t, list) for t in set(map(type, schedule)))
-        and set(map(len, schedule)) <= {2}
-    ):
+    try:
+        return ClassicalCycle(n, schedule)
+    except ValidationError as exc:
+        refusal = exc
+    if not (isinstance(schedule, list) and all(isinstance(e, list) and len(e) == 2 for e in schedule)):
         raise SpecParseError("cycle schedule must be a list of [state, duration] pairs")
-    state_types = set(map(type, map(itemgetter(0), schedule)))
-    duration_types = set(map(type, map(itemgetter(1), schedule)))
-    if not (all(map(_is_int_type, state_types)) and all(map(_is_number_type, duration_types))):
-        for i, (state, duration) in enumerate(schedule):
-            if not _is_int_type(type(state)):
-                raise SpecParseError(f"cycle schedule entry {i}: state must be an integer, got {type(state).__name__}")
-            if not _is_number_type(type(duration)):
-                raise SpecParseError(f"cycle schedule entry {i}: duration must be a number, got {type(duration).__name__}")
-    return ClassicalCycle(n, schedule)
+    for i, (state, duration) in enumerate(schedule):
+        if not _is_int_type(type(state)):
+            raise SpecParseError(f"cycle schedule entry {i}: state must be an integer, got {type(state).__name__}")
+        if not _is_number_type(type(duration)):
+            raise SpecParseError(f"cycle schedule entry {i}: duration must be a number, got {type(duration).__name__}")
+    raise refusal
 
 
 def load_system_spec(path: str | bytes | os.PathLike, tol: float = DEFAULT_TOL) -> SystemSpec:

@@ -7,6 +7,9 @@ import copy
 import io
 import json
 import operator
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import matrix_to_rows, random_density_matrix, random_hermitian
+import traceprob
 from traceprob import Projector, cli, sampler
 from traceprob.cli import json_text, main
 
@@ -954,6 +958,15 @@ def test_sample_draw_args_out_of_range(tmp_path, capsys, flag, value):
     _one_error_line(err, "Validation")
 
 
+def test_sample_n_past_int64_names_the_bound(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"cycle": {"n": 2, "schedule": [[1, 1.0], [2, 1.0]]}})
+    assert run_cli(capsys, "sample", "--spec", spec, "--n", str(2**63)) == (
+        1,
+        "",
+        "error[Validation]: n_samples must be <= 9223372036854775807\n",
+    )
+
+
 def test_sample_largest_n(tmp_path, capsys):
     spec = write_spec(tmp_path, {"cycle": {"n": 2, "schedule": [[1, 1.0], [2, 1.0]]}})
     code, out, _ = run_cli(capsys, "sample", "--spec", spec, "--json", "--n", str(2**63 - 1))
@@ -987,6 +1000,41 @@ def test_out_into_missing_directory(tmp_path, capsys):
     assert out == ""
     _one_error_line(err, "Output")
     assert not target.parent.exists()
+
+
+def _closed_pipe() -> int:
+    # The read end is closed before the child starts, so its first write meets no reader.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize(
+    "open_stdout, reason",
+    [
+        (_closed_pipe, "Broken pipe"),
+        pytest.param(
+            lambda: os.open("/dev/full", os.O_WRONLY),
+            "No space left on device",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+    ],
+    ids=["closed-pipe", "full-disk"],
+)
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_an_unwritable_stdout_is_one_output_error_line(open_stdout, reason, buffered):
+    env = {**os.environ, "PYTHONPATH": str(Path(traceprob.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    spec = str(Path(__file__).resolve().parent / "golden" / "generic.json")
+    command = [sys.executable, "-m", "traceprob.cli", "quantum", "--spec", spec, "--json"]
+    stdout = open_stdout()
+    try:
+        done = subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(stdout)
+    assert (done.returncode, done.stderr.decode()) == (1, f"error[Output]: cannot write stdout: {reason}\n")
 
 
 BAD_TOLS = ["inf", "-inf", "nan", "0", "-1e-10"]

@@ -1,8 +1,9 @@
 """Every refusal of a cycle, word for word, from a spec file and from ClassicalCycle.
 
-A spec file's cycle is checked for JSON types by the spec loader (a
-``SpecParse`` refusal) and then for its invariants by ``ClassicalCycle`` (a
-``Validation`` refusal). When several rules fail, the one reported is the
+A spec file's cycle is decided by ``ClassicalCycle``; when it refuses, the
+spec loader words a broken JSON form or type anywhere in the schedule (a
+``SpecParse`` refusal) and otherwise lets ``ClassicalCycle``'s refusal stand
+(a ``Validation`` refusal). When several rules fail, the one reported is the
 first in this order: ``n`` is an integer; each entry, in schedule order, is a
 pair, then has an integer state, then a real duration that fits a float;
 ``n >= 1``; the schedule is non-empty; ``n`` is at most its length; each
@@ -135,7 +136,29 @@ SPEC_REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("cycle, line", SPEC_REFUSALS.values(), ids=SPEC_REFUSALS.keys())
+# Rows where ClassicalCycle refuses first and the loader then words a JSON form
+# or type break anywhere in the schedule, or stands aside for ClassicalCycle.
+SPEC_DELEGATED_REFUSALS = {
+    "type-after-value": (
+        {"n": 2, "schedule": [[1, -1.0], [2, "x"]]},
+        "SpecParse]: cycle schedule entry 1: duration must be a number, got str",
+    ),
+    "state-type-after-range": (
+        {"n": 2, "schedule": [[5, 1.0], [2.5, 1.0]]},
+        "SpecParse]: cycle schedule entry 1: state must be an integer, got float",
+    ),
+    "form-after-value": ({"n": 2, "schedule": [[0, 1.0], [2, 1.0, 3]]}, f"SpecParse]: {NOT_PAIRS}"),
+    "value-alone": ({"n": 2, "schedule": [[2, 1.0], [1, -0.5]]}, "Validation]: dwell duration -0.5 must be finite and > 0"),
+    "schedule-empty-object": ({"n": 1, "schedule": {}}, f"SpecParse]: {NOT_PAIRS}"),
+    "schedule-empty-string": ({"n": 1, "schedule": ""}, f"SpecParse]: {NOT_PAIRS}"),
+    "schedule-string-n-zero": ({"n": 0, "schedule": "ab"}, f"SpecParse]: {NOT_PAIRS}"),
+    "schedule-empty-list": ({"n": 2, "schedule": []}, "Validation]: schedule must be non-empty"),
+    "schedule-number": ({"n": 1, "schedule": 5}, f"SpecParse]: {NOT_PAIRS}"),
+}
+SPEC_TABLES = SPEC_REFUSALS | SPEC_DELEGATED_REFUSALS
+
+
+@pytest.mark.parametrize("cycle, line", SPEC_TABLES.values(), ids=SPEC_TABLES.keys())
 def test_spec_cycle_refusals_word_for_word(tmp_path, capsys, cycle, line):
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps({"cycle": cycle}), encoding="utf-8")
@@ -187,10 +210,10 @@ def test_direct_cycle_refusals_word_for_word(n, schedule, message):
     assert str(info.value) == message
 
 
-# The Validation lines of the spec table, which are ClassicalCycle's own messages
+# The Validation lines of the spec tables, which are ClassicalCycle's own messages
 SPEC_VALIDATION_REFUSALS = {
     key: (cycle, line.removeprefix("Validation]: "))
-    for key, (cycle, line) in SPEC_REFUSALS.items()
+    for key, (cycle, line) in SPEC_TABLES.items()
     if line.startswith("Validation]: ")
 }
 

@@ -57,7 +57,10 @@ CASES = [
     ("real", "check", []),
     ("measure", "measure", []),
     ("measure", "check", []),
-    ("sectors", "check", []),  # no rho, so no quantum: check computes the compliance verdicts itself
+    ("sectors", "check", []),
+    ("diagonal", "quantum", []),  # a real diagonal Hamiltonian, with a degenerate pair and rho coherent across it
+    ("diagonal", "dephase", []),
+    ("diagonal", "check", []),  # no rho, so no quantum: check computes the compliance verdicts itself
 ]
 
 

@@ -541,6 +541,42 @@ def test_non_collections_and_non_arrays_are_refused(call, message):
     assert str(info.value) == message
 
 
+# matcore._integer reads an integer, then holds it to the bounds it is given:
+# (x, lo, hi, the int it returns or the refusal's message)
+INTEGER_BOUNDS = {
+    "open": (-(10**30), None, None, -(10**30)),
+    "open-numpy": (np.int16(-7), None, None, -7),
+    "lo-at": (0, 0, None, 0),
+    "lo-below": (-1, 0, None, "k must be >= 0"),
+    "lo-only-huge": (10**400, 1, None, 10**400),
+    "hi-at": (7, None, 7, 7),
+    "hi-above": (8, None, 7, "k must be <= 7"),
+    "hi-only-negative": (-(10**400), None, 7, -(10**400)),
+    "both-inside": (3, 1, 7, 3),
+    "both-below": (0, 1, 7, "k must be >= 1"),
+    "both-above": (2**63, 1, 2**63 - 1, "k must be <= 9223372036854775807"),
+    "numpy-at-hi": (np.int64(2**63 - 1), 1, 2**63 - 1, 2**63 - 1),
+    "numpy-above": (np.uint64(2**64 - 1), 0, 2**63 - 1, "k must be <= 9223372036854775807"),
+    "numpy-below": (np.int8(-1), 0, None, "k must be >= 0"),
+    "type-before-bounds": (2.0, 5, 1, "k must be an integer, got float"),
+    "bool-before-bounds": (np.True_, 5, None, "k must be an integer, got bool"),
+    "lo-before-hi": (0, 1, -1, "k must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("x, lo, hi, want", INTEGER_BOUNDS.values(), ids=INTEGER_BOUNDS.keys())
+def test_integer_reads_the_value_then_holds_it_to_its_bounds(x, lo, hi, want):
+    if isinstance(want, str):
+        with pytest.raises(ValidationError) as info:
+            matcore._integer(x, "k", lo, hi)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == want
+    else:
+        got = matcore._integer(x, "k", lo, hi)
+        assert type(got) is int
+        assert got == want
+
+
 # --- the one gate for outside matrices ---
 
 # Input that numpy cannot read as numbers, or would read from text: every

@@ -404,6 +404,26 @@ def test_counts_and_seeds_are_refused_rather_than_coerced(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sample_classical(TWO_STATES, 2**63, 0), "n_samples must be <= 9223372036854775807"),
+        (
+            lambda: sample_measurement([Projector(np.eye(2))], DensityMatrix(PLUS_STATE), 2**63, 0),
+            "n_samples must be <= 9223372036854775807",
+        ),
+        (lambda: sample_classical(TWO_STATES, 0, "x"), "n_samples must be >= 1"),  # the count's range, then the seed
+        (lambda: sample_classical(TWO_STATES, 1, -1), "seed must be >= 0"),
+        (lambda: time_average_indicator(TWO_STATES, 0), "steps must be >= 1"),
+    ],
+    ids=["n-past-int64", "measurement-n-past-int64", "n-zero-before-seed-type", "seed-negative", "steps-zero"],
+)
+def test_each_count_is_read_then_bounded_before_the_next(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_numpy_integers_are_counts_and_seeds():
     assert sample_classical(TWO_STATES, np.int64(10), np.int32(3)) == sample_classical(TWO_STATES, 10, 3)
     np.testing.assert_array_equal(time_average_indicator(TWO_STATES, np.int64(4)), time_average_indicator(TWO_STATES, 4))
