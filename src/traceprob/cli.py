@@ -11,6 +11,7 @@ success and nonzero on every error path.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import reprlib
@@ -24,7 +25,7 @@ from .errors import NotAPartitionError, TraceProbError, ValidationError, located
 from .matcore import DEFAULT_TOL, _tol, trace
 from .measure import measure_of, normalized_prob, total_measure
 from .quantum import DensityMatrix, trace_prob
-from .sampler import deviation_check, partition_refusal, sample_classical, sample_measurement
+from .sampler import deviation_check, sample_classical, sample_measurement
 from .specfile import SystemSpec, _projector, load_system_spec
 from .superselect import dephase, energy_blocks, is_superselection_compliant
 
@@ -91,22 +92,12 @@ def json_text(payload: dict) -> str:
     return "{\n  " + ",\n  ".join(items) + "\n}"
 
 
-# The spec fields each subcommand reads, as alternatives: it runs when every
-# field of one alternative is present, and refuses with a "needs" line
-# otherwise. ``check`` runs, in this order, each subcommand whose fields the spec has.
-_READS = {
-    "classical": (("cycle", "projectors"),),
-    "quantum": (("rho", "projectors"),),
-    "dephase": (("rho", "hamiltonian"),),
-    "measure": (("algebra", "rho"),),
-    "sample": (("cycle",), ("projectors", "rho")),
-}
 SAMPLE_N, SAMPLE_SEED = 100000, 0  # sample's --n and --seed defaults, at which check runs it
 
 
 def _lacks(spec: SystemSpec, command: str) -> ValidationError | None:
     """The refusal of ``command`` when ``spec`` lacks a field of each of its alternatives, else None."""
-    alternatives = _READS.get(command, ((),))
+    alternatives = _SUBCOMMANDS[command][0]
     missing = [[name for name in alt if getattr(spec, name) in (None, ())] for alt in alternatives]
     if not all(missing):
         return None
@@ -256,20 +247,19 @@ def render_sample(spec: SystemSpec, payload: dict) -> str:
 def cmd_check(spec: SystemSpec, args) -> dict:
     """Run every subcommand whose fields the spec has, ``sample`` at its
     defaults, and keep their payloads; the first refusal names its subcommand.
-    ``dephase`` is skipped where ``quantum`` already dephased rho.
+    ``dephase`` is skipped where ``quantum`` already dephased rho, and ``sample``
+    where it finds no partition: such projectors are ``quantum`` input only.
     With a hamiltonian and projectors, ``compliant`` holds each projector's sector compliance."""
     run_args = argparse.Namespace(**vars(args), n=SAMPLE_N, seed=SAMPLE_SEED)
     ran = {}
-    for command in _READS:
+    for command in _SUBCOMMANDS:
+        if command == "check":
+            break  # the last row: every other subcommand has had its turn
         if command == "dephase" and "quantum" in ran and spec.hamiltonian is not None:
             continue  # quantum made dephase's one call that can refuse, on the same operators
         if _lacks(spec, command) is None:
-            try:
-                with located(command):
-                    ran[command] = _COMMANDS[command](spec, run_args)
-            except NotAPartitionError:  # projectors that are no partition are quantum input only
-                if partition_refusal([_projector(e) for _, e in spec.projectors], spec.rho.dim) is None:
-                    raise  # a partition's refusal, of its outcome weights, stands
+            with contextlib.suppress(NotAPartitionError), located(command):
+                ran[command] = _COMMANDS[command](spec, run_args)
     names = ("cycle", "rho", "hamiltonian", "projectors", "algebra")
     fields = [name for name in names if getattr(spec, name) not in (None, ())]
     payload = {"ok": True, "fields": fields, "dim": spec.dim, "reality_mode": spec.mode.value}
@@ -293,22 +283,28 @@ def render_check(spec: SystemSpec, payload: dict) -> str:
     return "\n".join(lines)
 
 
-_COMMANDS = {
-    "classical": cmd_classical,
-    "quantum": cmd_quantum,
-    "dephase": cmd_dephase,
-    "measure": cmd_measure,
-    "sample": cmd_sample,
-    "check": cmd_check,
+# One row per subcommand: the spec fields it reads, as alternatives (it runs
+# when every field of one alternative is present, and refuses with a "needs"
+# line otherwise), its payload function, its renderer and its help line.
+# ``check`` runs, in this order, each subcommand above it whose fields the spec has.
+# fmt: off
+_SUBCOMMANDS = {
+    "classical": ((("cycle", "projectors"),), cmd_classical, render_classical,
+                  "dwell-fraction probabilities with the trace-rule cross-check"),
+    "quantum":   ((("rho", "projectors"),), cmd_quantum, render_quantum,
+                  "trace-rule probabilities per projector (plus dephasing if a hamiltonian is present)"),
+    "dephase":   ((("rho", "hamiltonian"),), cmd_dephase, render_dephase,
+                  "energy blocks and the time-averaged density matrix"),
+    "measure":   ((("algebra", "rho"),), cmd_measure, render_measure,
+                  "positive-operator measures, total, and normalized probabilities"),
+    "sample":    ((("cycle",), ("projectors", "rho")), cmd_sample, render_sample,
+                  "Monte Carlo sampling with a 5-sigma deviation check"),
+    "check":     (((),), cmd_check, render_check,
+                  "validate a system file by running every subcommand that applies to it"),
 }
-_RENDERERS = {
-    "classical": render_classical,
-    "quantum": render_quantum,
-    "dephase": render_dephase,
-    "measure": render_measure,
-    "sample": render_sample,
-    "check": render_check,
-}
+# fmt: on
+# main and check call each payload function through this dict, whose entries perfbench/tracer.py wraps.
+_COMMANDS = {name: run for name, (_, run, _, _) in _SUBCOMMANDS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -326,16 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = _Parser(prog="traceprob", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "classical": "dwell-fraction probabilities with the trace-rule cross-check",
-        "quantum": "trace-rule probabilities per projector (plus dephasing if a hamiltonian is present)",
-        "dephase": "energy blocks and the time-averaged density matrix",
-        "measure": "positive-operator measures, total, and normalized probabilities",
-        "sample": "Monte Carlo sampling with a 5-sigma deviation check",
-        "check": "validate a system file by running every subcommand that applies to it",
-    }
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=helps[name])
+    for name, (_, _, _, help_line) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_line)
         if name == "sample":
             p.add_argument("--n", type=int, default=SAMPLE_N, help="number of samples")
             p.add_argument("--seed", type=int, default=SAMPLE_SEED, help="generator seed")
@@ -364,24 +352,22 @@ def main(argv=None) -> int:
         if refusal is not None:
             raise refusal
         payload = _COMMANDS[args.command](spec, args)
-        output = (json_text(payload) if args.json else _RENDERERS[args.command](spec, payload)) + "\n"
+        output = (json_text(payload) if args.json else _SUBCOMMANDS[args.command][2](spec, payload)) + "\n"
     except TraceProbError as exc:
         return _fail(type(exc).__name__.removesuffix("Error"), exc)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(output)
-        except OSError as exc:
-            return _fail("Output", f"cannot write {args.out}: {exc.strerror or exc}")
-    else:
-        try:
+        else:
             sys.stdout.write(output)
             sys.stdout.flush()
-        except OSError as exc:  # a closed pipe or a full disk; the interpreter's last flush goes to devnull
+    except OSError as exc:  # a path that cannot be opened, a closed pipe or a full disk
+        if not args.out:  # the interpreter's last flush of stdout goes to devnull
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            return _fail("Output", f"cannot write stdout: {exc.strerror or exc}")
+        return _fail("Output", f"cannot write {args.out or 'stdout'}: {exc.strerror or exc}")
     return 0
 
 

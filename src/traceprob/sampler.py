@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import ClassicalCycle, dwell_fractions
-from .errors import NotAPartitionError, ValidationError
+from .errors import NotAPartitionError, NumericalIntegrityError, ValidationError
 from .matcore import _integer, _iterate, _labels, _operand, _real, max_abs
 from .quantum import DensityMatrix, Projector, trace_prob
 
@@ -94,23 +94,6 @@ def sample_classical(c: ClassicalCycle, n_samples: int, seed: int) -> SampleRepo
     return _build_report(labels, counts, fractions, seed)
 
 
-def partition_refusal(partition: Sequence[Projector], dim: int) -> NotAPartitionError | None:
-    """Why ``partition`` is not a projective partition of the identity of
-    dimension ``dim``, or None when it is: the projectors must sum to the
-    identity and be pairwise orthogonal, both to 1e-9 in max-norm."""
-    if not partition:
-        return NotAPartitionError("partition must contain at least one projector")
-    if any(p.dim != dim for p in partition):
-        return NotAPartitionError("all projectors must match the density matrix dimension")
-    if max_abs(sum(p.mat for p in partition) - np.eye(dim)) > PARTITION_TOL:
-        return NotAPartitionError("projectors do not sum to the identity within 1e-9")
-    for i in range(len(partition)):
-        for j in range(i + 1, len(partition)):
-            if max_abs(partition[i].mat @ partition[j].mat) > PARTITION_TOL:
-                return NotAPartitionError(f"projectors {i} and {j} are not orthogonal within 1e-9")
-    return None
-
-
 def sample_measurement(
     partition: Iterable[Projector],
     rho: DensityMatrix,
@@ -120,9 +103,11 @@ def sample_measurement(
 ) -> SampleReport:
     """Draw outcomes of a projective partition with trace-rule weights.
 
-    The projectors must pass :func:`partition_refusal`; their trace
-    probabilities, normalized, are then the multinomial weights of the
-    counts. Weight sums off 1 by more than 1e-9 are refused.
+    The projectors must be a partition of the identity of rho's dimension:
+    summing to it and pairwise orthogonal, both to 1e-9 in max-norm, or
+    ``NotAPartitionError``. Their trace probabilities, normalized, are then
+    the multinomial weights of the counts; weights summing off 1 by more
+    than 1e-9 are refused with ``NumericalIntegrityError``.
     """
     _operand(rho, DensityMatrix, "density")
     n_samples, seed = _integer(n_samples, "n_samples", 1, MAX_SAMPLES), _integer(seed, "seed", 0)
@@ -134,14 +119,23 @@ def sample_measurement(
     labels = tuple(_labels(labels, "labels"))
     if len(labels) != len(partition):
         raise ValidationError("labels must match the number of projectors")
-    refusal = partition_refusal(partition, rho.dim)
-    if refusal is not None:
-        raise refusal
+    if not partition:
+        raise NotAPartitionError("partition must contain at least one projector")
+    if any(p.dim != rho.dim for p in partition):
+        raise NotAPartitionError("all projectors must match the density matrix dimension")
+    if max_abs(sum(p.mat for p in partition) - np.eye(rho.dim)) > PARTITION_TOL:
+        raise NotAPartitionError("projectors do not sum to the identity within 1e-9")
+    # P_i P_j is exactly 0, every term having a zero factor, unless a nonzero column of P_i meets a nonzero row of P_j.
+    columns, rows = [p.mat.any(axis=0) for p in partition], [p.mat.any(axis=1) for p in partition]
+    for i in range(len(partition)):
+        for j in range(i + 1, len(partition)):
+            if (columns[i] & rows[j]).any() and max_abs(partition[i].mat @ partition[j].mat) > PARTITION_TOL:
+                raise NotAPartitionError(f"projectors {i} and {j} are not orthogonal within 1e-9")
 
     weights = np.array([trace_prob(p, rho) for p in partition])
     weight_sum = math.fsum(weights)
     if abs(weight_sum - 1.0) > PARTITION_TOL:
-        raise NotAPartitionError(f"outcome weights sum to {weight_sum!r}, off 1 beyond 1e-9")
+        raise NumericalIntegrityError(f"outcome weights sum to {weight_sum!r}, off 1 beyond 1e-9")
     weights = weights / weight_sum
 
     counts = np.random.default_rng(seed).multinomial(n_samples, weights)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from helpers import matrix_to_rows, random_density_matrix, random_hermitian
 import traceprob
-from traceprob import Projector, cli, sampler
+from traceprob import Projector, cli
 from traceprob.cli import json_text, main
 
 PLUS_ROWS = matrix_to_rows(np.full((2, 2), 0.5))
@@ -500,14 +500,15 @@ def test_sample_not_a_partition(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, code, err",
     [
-        ("sample", 1, "error[NotAPartition]: outcome weights sum to 1.0000005, off 1 beyond 1e-9\n"),
-        ("check", 1, "error[NotAPartition]: sample: outcome weights sum to 1.0000005, off 1 beyond 1e-9\n"),
+        ("sample", 1, "error[NumericalIntegrity]: outcome weights sum to 1.0000005, off 1 beyond 1e-9\n"),
+        ("check", 1, "error[NumericalIntegrity]: sample: outcome weights sum to 1.0000005, off 1 beyond 1e-9\n"),
         ("quantum", 0, ""),
     ],
 )
 def test_sample_refuses_outcome_weights_that_only_tol_admits(tmp_path, capsys, command, code, err):
     # rho's trace is 1 + 5e-7, within --tol 1e-6, so the file loads; the
-    # sampler holds the weights of a partition to 1e-9, and check vouches for it.
+    # sampler holds the weights of a partition to 1e-9, and check refuses with it:
+    # weights off 1 are a numerical fault of a partition, not a sign of none.
     obj = {"rho": matrix_to_rows(np.diag([0.5, 0.5 + 5e-7])), "projectors": {"a": [1, 0], "b": [0, 1]}}
     got_code, _, got_err = run_cli(capsys, command, "--spec", write_spec(tmp_path, obj), "--tol", "1e-6")
     assert (got_code, got_err) == (code, err)
@@ -574,26 +575,26 @@ def test_check_runs_the_subcommands_that_apply(tmp_path, capsys, obj, code, err)
 @pytest.mark.parametrize(
     "obj, code, err, calls",
     [
-        ({"rho": HALF_ROWS, "projectors": {"a": [1, 0], "b": [0, 1]}}, 0, "", 1),  # only sample's own test
-        ({"rho": HALF_ROWS, "projectors": {"a": [1, 0]}}, 0, "", 2),  # sample's test, then check's to skip it
+        ({"rho": HALF_ROWS, "projectors": {"a": [1, 0], "b": [0, 1]}}, 0, "", 1),
+        ({"rho": HALF_ROWS, "projectors": {"a": [1, 0]}}, 0, "", 1),  # NotAPartition: check skips sample
         (
             {"rho": matrix_to_rows(np.diag([0.5, 0.5 + 5e-7])), "projectors": {"a": [1, 0], "b": [0, 1]}},
             1,
-            "error[NotAPartition]: sample: outcome weights sum to 1.0000005, off 1 beyond 1e-9\n",
-            2,
+            "error[NumericalIntegrity]: sample: outcome weights sum to 1.0000005, off 1 beyond 1e-9\n",
+            1,
         ),
     ],
     ids=["partition", "not-a-partition", "partition-weights-off"],
 )
 def test_check_takes_the_partition_verdict_from_sample(tmp_path, capsys, monkeypatch, obj, code, err, calls):
+    # sample_measurement is the one place that tests a partition; check runs it once and reads its refusal.
     seen = []
 
-    def counted(partition, dim, test=sampler.partition_refusal):
-        seen.append(dim)
-        return test(partition, dim)
+    def counted(*args, sample=cli.sample_measurement, **kwargs):
+        seen.append(args)
+        return sample(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "partition_refusal", counted)
-    monkeypatch.setattr(sampler, "partition_refusal", counted)
+    monkeypatch.setattr(cli, "sample_measurement", counted)
     got_code, _, got_err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, obj), "--tol", "1e-6")
     assert (got_code, got_err, len(seen)) == (code, err, calls)
 

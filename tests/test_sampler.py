@@ -19,12 +19,14 @@ from traceprob import (
     ClassicalCycle,
     DensityMatrix,
     NotAPartitionError,
+    NumericalIntegrityError,
     Projector,
     SampleReport,
     ValidationError,
     deviation_check,
     sample_classical,
     sample_measurement,
+    sampler,
     time_average_indicator,
 )
 
@@ -137,6 +139,60 @@ def test_sample_measurement_rejects_non_orthogonal_overlap():
     p2 = Projector(np.diag([0.0, 1.0 - a]), tol=1e-4)
     with pytest.raises(NotAPartitionError):
         sample_measurement([p1, p2], DensityMatrix(np.diag([0.5, 0.5])), 10, seed=8)
+
+
+def test_sample_measurement_refuses_weights_off_one_as_numerical_integrity():
+    # rho's trace is 1 + 5e-7, admitted at tol 1e-6. The projectors are a
+    # partition, so what is refused is the weights, not the partition.
+    rho = DensityMatrix(np.diag([0.5, 0.5 + 5e-7]), tol=1e-6)
+    partition = [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))]
+    with pytest.raises(NumericalIntegrityError) as info:
+        sample_measurement(partition, rho, 10, seed=0)
+    assert str(info.value) == "outcome weights sum to 1.0000005, off 1 beyond 1e-9"
+    assert not isinstance(info.value, NotAPartitionError)
+
+
+def _disjoint_sets(n: int, k: int) -> list[Projector]:
+    owner = np.arange(n) * k // n
+    return [Projector(np.diag((owner == i).astype(float))) for i in range(k)]
+
+
+def _two_rotated_blocks() -> list[Projector]:
+    # Each 2x2 block of a 4x4 identity split into two rank-1 projectors: the
+    # two of a block share rows and columns, while the two blocks share none.
+    c, s = np.cos(0.3), np.sin(0.3)
+    parts = []
+    for offset in (0, 2):
+        for v in ((c, s), (-s, c)):
+            u = np.zeros(4)
+            u[offset : offset + 2] = v
+            parts.append(Projector(np.outer(u, u)))
+    return parts
+
+
+@pytest.mark.parametrize(
+    "partition, products",
+    [
+        (_disjoint_sets(64, 8), 0),
+        (_two_rotated_blocks(), 2),
+        (random_partition(np.random.default_rng(86), 16, 8), 28),
+    ],
+    ids=["8-disjoint-sets-n64", "two-blocks-n4", "8-dense-n16"],
+)
+def test_the_partition_test_multiplies_only_projectors_whose_supports_meet(monkeypatch, partition, products):
+    # max_abs reads the sum's defect once, then one product per pair whose
+    # supports meet; a product of two that do not is exactly 0 and is not formed.
+    calls = []
+
+    def counted(a, max_abs=sampler.max_abs):
+        calls.append(a.shape)
+        return max_abs(a)
+
+    monkeypatch.setattr(sampler, "max_abs", counted)
+    n = partition[0].dim
+    report = sample_measurement(partition, DensityMatrix(np.eye(n) / n), 1000, seed=0)
+    assert len(calls) == 1 + products
+    assert report.total == 1000
 
 
 def test_sample_measurement_reads_a_generator_partition_and_labels_once():
