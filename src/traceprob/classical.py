@@ -67,7 +67,8 @@ class ClassicalCycle:
 
     The schedule is converted and checked in one pass of C-level ``map`` and
     numpy calls; only a refused schedule is scanned entry by entry, to name
-    the first bad entry.
+    the first bad entry. Pairs of exactly an ``int`` state and a ``float``
+    duration, as JSON decodes them, are kept as given, not converted.
     """
 
     n: int
@@ -83,12 +84,15 @@ class ClassicalCycle:
                 raise ValueError
             states = tuple(map(operator.itemgetter(0), pairs))
             durations = tuple(map(operator.itemgetter(1), pairs))
-            if bool in set(map(type, states)) or not all(
-                t is not bool and issubclass(t, (float, int, numbers.Real)) for t in set(map(type, durations))
-            ):
-                raise TypeError  # a bool is no state or duration
-            states = tuple(map(operator.index, states))
-            durations = tuple(map(float, durations))
+            state_types, duration_types = set(map(type, states)), set(map(type, durations))
+            if state_types != {int} or duration_types != {float}:  # else the pairs are kept as given
+                if bool in state_types or not all(
+                    t is not bool and issubclass(t, (float, int, numbers.Real)) for t in duration_types
+                ):
+                    raise TypeError  # a bool is no state or duration
+                states = tuple(map(operator.index, states))
+                durations = tuple(map(float, durations))
+                pairs = list(zip(states, durations))
         except (TypeError, ValueError, OverflowError):
             raise _first_bad_entry(pairs + entries[len(pairs) :]) from None
         if n < 1:
@@ -101,7 +105,7 @@ class ClassicalCycle:
             )
         dwell = np.array(durations)
         if not (min(states) >= 1 and max(states) <= n and ((dwell > 0.0) & (dwell < math.inf)).all()):
-            raise _first_out_of_range(n, zip(states, durations))
+            raise _first_out_of_range(n, pairs)
         state_index = np.array(states, dtype=np.int64)
         visits = np.bincount(state_index - 1, minlength=n)
         if not visits.all():
@@ -116,7 +120,7 @@ class ClassicalCycle:
         state_index.setflags(write=False)
         dwell.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "schedule", tuple(zip(states, durations)))
+        object.__setattr__(self, "schedule", tuple(pairs))
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "_states", state_index)
         object.__setattr__(self, "_durations", dwell)

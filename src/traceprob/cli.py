@@ -62,11 +62,17 @@ _MATRIX_CLOSE = "\n      ]\n    ]\n  ]"
 
 def _matrix_json(a: np.ndarray) -> str:
     n_rows, n_cols = a.shape
-    row = [_NEXT_ENTRY, "", _IMAG, ""] * n_cols  # separator, float, separator, float, ...
+    row = [_NEXT_ENTRY, "0.0", _IMAG, "0.0"] * n_cols  # separator, float, separator, float, ...
     row[0] = _NEXT_ROW
     parts = row * n_rows
     parts[0] = _MATRIX_OPEN
-    parts[1::2] = map(float.__repr__, np.stack([a.real, a.imag], -1).ravel().tolist())
+    values = np.stack([a.real, a.imag], -1).ravel()
+    written = (values != 0.0) | np.signbit(values)  # the floats other than +0.0, whose repr is "0.0"
+    if 2 * np.count_nonzero(written) < values.size:
+        for k, text in zip((2 * np.flatnonzero(written) + 1).tolist(), map(float.__repr__, values[written].tolist())):
+            parts[k] = text
+    else:
+        parts[1::2] = map(float.__repr__, values.tolist())
     return "".join(parts) + _MATRIX_CLOSE
 
 
@@ -81,7 +87,8 @@ def json_text(payload: dict) -> str:
     one level by prefixing every line break: a JSON string holds no raw
     newline. Matrices are written as one join of float reprs between fixed
     separators, at C speed; ``json.dumps`` with an indent runs the
-    pure-Python encoder.
+    pure-Python encoder. Where most of a matrix's floats are +0.0 (a diagonal
+    one), they are written as the text "0.0" and only the others take a repr.
     """
     items = [
         json.dumps(key)
@@ -154,7 +161,7 @@ def render_classical(spec: SystemSpec, payload: dict) -> str:
 
 def cmd_quantum(spec: SystemSpec, args) -> dict:
     have_h = spec.hamiltonian is not None
-    rho_deph = dephase(spec.rho, spec.hamiltonian) if have_h else None
+    rho_deph = dephase(spec.rho, spec.hamiltonian, tol=args.tol) if have_h else None
     entries = []
     for label, e in spec.projectors:
         p = _projector(e)
@@ -183,7 +190,7 @@ def render_quantum(spec: SystemSpec, payload: dict) -> str:
 
 def cmd_dephase(spec: SystemSpec, args) -> dict:
     blocks = energy_blocks(spec.hamiltonian)
-    rho_deph = dephase(spec.rho, spec.hamiltonian)
+    rho_deph = dephase(spec.rho, spec.hamiltonian, tol=args.tol)
     return {
         "blocks": {
             "count": len(blocks),

@@ -313,10 +313,11 @@ def matrix_from_rows(rows) -> np.ndarray:
 
     A row must be a ``list`` of n entries, an entry a ``list`` of two numbers,
     and a number an ``int`` or ``float`` (subclasses included) that is not a
-    ``bool`` and fits a float. The rules are checked on the sets of distinct
-    types and lengths, and the matrix is built by one conversion of the
-    flattened numbers (exact, including the sign of zero). Only on failure is
-    the input scanned again, to name the first bad row or entry.
+    ``bool`` and fits a float. Each level is flattened once into a list; the
+    rules are checked on its sets of distinct types and lengths, and the
+    matrix is built by one conversion of the numbers (exact, including the
+    sign of zero). Only on failure is the input scanned again, to name the
+    first bad row or entry.
 
     Raises
     ------
@@ -326,17 +327,16 @@ def matrix_from_rows(rows) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ValidationError("matrix must be a non-empty JSON array of rows")
     n = len(rows)
-    well_formed = (
-        all(issubclass(t, list) for t in set(map(type, rows)))
-        and set(map(len, rows)) == {n}
-        and all(issubclass(t, list) for t in set(map(type, chain.from_iterable(rows))))
-        and set(map(len, chain.from_iterable(rows))) == {2}
-        and all(_is_number_type(t) for t in set(map(type, chain.from_iterable(chain.from_iterable(rows)))))
-    )
-    if not well_formed:
+    if not all(issubclass(t, list) for t in set(map(type, rows))) or set(map(len, rows)) != {n}:
+        raise _first_bad_entry(rows)
+    entries = list(chain.from_iterable(rows))
+    if not all(issubclass(t, list) for t in set(map(type, entries))) or set(map(len, entries)) != {2}:
+        raise _first_bad_entry(rows)
+    numbers = list(chain.from_iterable(entries))
+    if not all(_is_number_type(t) for t in set(map(type, numbers))):
         raise _first_bad_entry(rows)
     try:
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), dtype=float, count=2 * n * n)
+        flat = np.fromiter(numbers, dtype=float, count=2 * n * n)
     except OverflowError:
         raise _first_bad_entry(rows) from None
     return _admit(flat.view(complex).reshape(n, n))

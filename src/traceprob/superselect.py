@@ -106,17 +106,18 @@ def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
     return DensityMatrix(u @ rho.mat @ u.conj().T)
 
 
-def dephase(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
+def dephase(rho: DensityMatrix, h: Hamiltonian, *, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Infinite-time average of the evolving state: the pinching sum_k Pi_k rho Pi_k.
 
     Computed by :func:`pinch` in O(n^3) from the Hamiltonian's energy
     sectors. The result is block-diagonal across the energy sectors and has
-    the same trace as rho.
+    the same trace as rho; it is validated as a density matrix at ``tol``,
+    which should be the tolerance ``rho`` was admitted at.
     """
     _operand(rho, DensityMatrix, "density")
     _operand(h, Hamiltonian, "hamiltonian")
     same_dim("density", rho.dim, "hamiltonian", h.dim)
-    return DensityMatrix(pinch(rho.mat, h))
+    return DensityMatrix(pinch(rho.mat, h), tol=tol)
 
 
 def is_superselection_compliant(p: Projector, h: Hamiltonian) -> bool:

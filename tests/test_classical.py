@@ -104,6 +104,28 @@ def test_period_is_the_correctly_rounded_sum():
     assert c.state_at(0.5999999999999999) == 3
 
 
+# One schedule in four forms: the decoder's exact int/float pairs (kept as
+# given), numpy states and int durations (converted), and entries that are
+# generators (made into pairs, then kept).
+SCHEDULE = [(1, 0.5), (2, 1.0), (1, 2.0), (3, 0.25), (2, 4.0)]
+SCHEDULE_FORMS = {
+    "int-float": lambda: [(s, d) for s, d in SCHEDULE],
+    "numpy-states": lambda: [(np.int64(s), d) for s, d in SCHEDULE],
+    "int-durations": lambda: [[s, int(d)] if d.is_integer() else [s, d] for s, d in SCHEDULE],
+    "generator-entries": lambda: [(x for x in entry) for entry in SCHEDULE],
+}
+
+
+@pytest.mark.parametrize("build", SCHEDULE_FORMS.values(), ids=SCHEDULE_FORMS.keys())
+def test_a_schedule_is_held_alike_in_every_form(build):
+    c = ClassicalCycle(3, build())
+    assert c.schedule == tuple(SCHEDULE)
+    assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is float for e in c.schedule)
+    assert c.period == 7.75
+    assert dwell_fractions(c).f == (2.5 / 7.75, 5.0 / 7.75, 0.25 / 7.75)
+    assert [c.state_at(t) for t in (0.0, 0.5, 1.5, 3.5, 3.75, 7.7, 8.0)] == [1, 2, 1, 3, 2, 2, 1]
+
+
 def test_state_at_walks_schedule():
     c = ClassicalCycle(2, ((1, 1.0), (2, 1.0)))
     assert c.state_at(0.5) == 1
@@ -358,7 +380,7 @@ def test_fraction_vector_rejects_unnormalized():
         (lambda: FractionVector([10**400]), "fraction 100000000000000000...0000000000000000000 is beyond the float range"),
         (lambda: ClassicalCycle(2, [(1, 1.0), (2, 10**400)]), "schedule entry 1 overflows an int state or a float duration"),
     ],
-    ids=["fraction", "cycle-duration"],
+    ids=["fraction", "duration"],
 )
 def test_ints_beyond_the_float_range_are_refused_with_a_typed_error(build, message):
     with pytest.raises(ValidationError) as info:

@@ -6,6 +6,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import operator
 import os
 import subprocess
@@ -431,11 +432,34 @@ def complex_matrices(draw):
     return np.asfortranarray(a) if draw(st.booleans()) else a
 
 
+WRITTEN_ENTRIES = MATRIX_ENTRIES.filter(lambda x: x != 0.0 or math.copysign(1.0, x) < 0.0)  # all but +0.0
+
+
+@st.composite
+def mostly_zero_matrices(draw):
+    """Matrices whose floats are mostly +0.0: diagonal ones, and ones in which
+    at most half the floats, or one past half, are set to a float other than
+    +0.0 (-0.0 and subnormals among them); the writer writes +0.0 as text
+    when fewer than half of the floats differ from it."""
+    n = draw(st.integers(1, 8))
+    flat = np.zeros(2 * n * n)
+    if draw(st.booleans()):
+        slots = [2 * (n + 1) * i + part for i in range(n) for part in (0, 1)]  # each diagonal entry's re and im
+        values = st.lists(MATRIX_ENTRIES, min_size=len(slots), max_size=len(slots))
+    else:
+        count = draw(st.sampled_from([1, n * n - 1, n * n, n * n + 1]) | st.integers(0, n * n))
+        slots = draw(st.permutations(range(2 * n * n)))[:count]
+        values = st.lists(WRITTEN_ENTRIES, min_size=count, max_size=count)
+    flat[slots] = draw(values)
+    return flat.view(complex).reshape(n, n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     payload=st.dictionaries(
         WRITER_LABELS,
         complex_matrices()
+        | mostly_zero_matrices()
         | JSON_VALUES
         | WRITER_LABELS
         | st.lists(st.fixed_dictionaries({"label": WRITER_LABELS, "probability": MATRIX_ENTRIES})),
@@ -504,6 +528,7 @@ def test_sample_not_a_partition(tmp_path, capsys):
         ("check", 1, "error[NumericalIntegrity]: sample: outcome weights sum to 1.0000005, off 1 beyond 1e-9\n"),
         ("quantum", 0, ""),
     ],
+    ids=["sample", "check", "quantum"],
 )
 def test_sample_refuses_outcome_weights_that_only_tol_admits(tmp_path, capsys, command, code, err):
     # rho's trace is 1 + 5e-7, within --tol 1e-6, so the file loads; the
@@ -512,6 +537,22 @@ def test_sample_refuses_outcome_weights_that_only_tol_admits(tmp_path, capsys, c
     obj = {"rho": matrix_to_rows(np.diag([0.5, 0.5 + 5e-7])), "projectors": {"a": [1, 0], "b": [0, 1]}}
     got_code, _, got_err = run_cli(capsys, command, "--spec", write_spec(tmp_path, obj), "--tol", "1e-6")
     assert (got_code, got_err) == (code, err)
+
+
+@pytest.mark.parametrize("command", ["quantum", "dephase", "check"])
+def test_tol_reaches_the_dephased_state(tmp_path, capsys, command):
+    # rho_01 carries a 1e-8 Hermiticity defect, within --tol 1e-6; it joins two
+    # levels of one energy sector, so the dephased state keeps it and is held to --tol too.
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    rho[0, 1], rho[1, 0] = 0.05 + 1e-8, 0.05
+    obj = {
+        "rho": matrix_to_rows(rho),
+        "hamiltonian": matrix_to_rows(np.diag([0.0, 0.0, 1.0, 2.0])),
+        "projectors": {"low": matrix_to_rows(np.diag([1.0, 1.0, 0.0, 0.0]))},
+    }
+    spec = write_spec(tmp_path, obj)
+    assert run_cli(capsys, command, "--spec", spec, "--tol", "1e-6")[::2] == (0, "")
+    assert run_cli(capsys, command, "--spec", spec, "--tol", "1e-6", "--json")[::2] == (0, "")
 
 
 def test_sample_needs_inputs(tmp_path, capsys):
@@ -622,9 +663,9 @@ def test_check_computes_each_compliance_verdict_once(tmp_path, capsys, monkeypat
 def test_check_dephases_rho_once(tmp_path, capsys, monkeypatch, stem, mode):
     seen = []
 
-    def counted(rho, h, dephase=cli.dephase):
+    def counted(rho, h, dephase=cli.dephase, **kwargs):
         seen.append(rho)
-        return dephase(rho, h)
+        return dephase(rho, h, **kwargs)
 
     monkeypatch.setattr(cli, "dephase", counted)
     generic = GOLDEN_SPECS["generic"]

@@ -185,7 +185,7 @@ def test_a_diagonal_hamiltonian_and_its_permutation_give_the_same_answers(tmp_pa
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_a_cycle_and_the_diagonal_of_its_fractions_give_the_same_trace_rule_column(tmp_path, n):
+def test_a_cycle_and_its_diagonal_fractions_give_one_trace_rule_column(tmp_path, n):
     # classical builds rho = diag(fractions) itself; the second spec writes that
     # rho out. --json writes each fraction as its repr, which reads back as the
     # same float, so both runs contract the same operators: byte-identical text.

@@ -117,7 +117,7 @@ SPEC_REFUSALS = {
         {"n": 2, "schedule": [[1, 1.0], [2, -1.0], [5, 1.0]]},
         "Validation]: dwell duration -1.0 must be finite and > 0",
     ),
-    "state-before-duration-range": (
+    "state-then-duration-range": (
         {"n": 2, "schedule": [[1, 1.0], [5, -1.0]]},
         "Validation]: state 5 outside 1..2",
     ),

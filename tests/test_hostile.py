@@ -136,7 +136,7 @@ def test_the_table_covers_the_public_surface():
 
 
 @pytest.mark.parametrize("name", sorted(VALID))
-def test_hostile_arguments_are_answered_or_refused(name):
+def test_hostile_calls_are_answered_or_refused(name):
     fn, valid = _callable(name), VALID[name]
     fn(**valid)
     raw = []

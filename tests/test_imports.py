@@ -57,6 +57,18 @@ def test_every_imported_name_is_read(module):
         ("from a import b  # noqa: F401  (tools wrap a.b here)\n", []),
         ("from __future__ import annotations\n", []),
     ],
+    ids=[
+        "import",
+        "dotted-import-read",
+        "import-as-read",
+        "one-of-two-read",
+        "parenthesized",
+        "rebound",
+        "annotation",
+        "noqa-without-reason",
+        "noqa-with-reason",
+        "future",
+    ],
 )
 def test_the_check_reads_names_loads_and_excuses(source, unread):
     assert unread_imports(source) == unread

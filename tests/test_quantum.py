@@ -282,8 +282,9 @@ MODE_GATES = {
         (5, 'mode must be a RealityMode, "complex" or "real", got 5'),
         (None, 'mode must be a RealityMode, "complex" or "real", got None'),
     ],
+    ids=["real", "complex", "int", "none"],
 )
-def test_a_mode_is_read_as_a_reality_mode_and_anything_else_is_refused(gate, mode, refusal):
+def test_a_mode_is_read_as_a_reality_mode_or_refused(gate, mode, refusal):
     if refusal is None:
         gate(mode)
     elif refusal is NotRealError:
@@ -424,6 +425,7 @@ def test_trace_prob_clamps_within_slack():
         (math.inf, 1e-10, math.inf, (NonFiniteError, "p inf is not finite")),
         (math.nan, 1e-9, 1.0, (NonFiniteError, "p nan is not finite")),
     ],
+    ids=["inside", "dust-below", "dust-above", "huge", "below", "above", "below-unbounded", "inf", "nan"],
 )
 def test_bounded_clamps_dust_and_refuses_the_rest(value, slack, upper, expected):
     if not isinstance(expected, tuple):
@@ -552,7 +554,7 @@ HUGE_PAIR = PerceptionAlgebra.from_matrices([("a", 1e308 * np.eye(2)), ("b", 1e3
         ),
         (lambda: union_operator(HUGE_PAIR, {"a", "b"}), ValidationError, "matrix entries must be finite (no NaN/Inf)"),
     ],
-    ids=["commuting-diagonals", "huge-identity-with-itself", "unitary-conjugate", "conjugate-product", "union-operator"],
+    ids=["diagonals", "huge-identity", "unitarity", "conjugate", "union"],
 )
 def test_overflowing_products_are_typed_refusals_without_a_warning(call, error, message):
     # pytest turns a numpy RuntimeWarning into an error, so a warning before the refusal fails here.

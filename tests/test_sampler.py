@@ -179,7 +179,7 @@ def _two_rotated_blocks() -> list[Projector]:
     ],
     ids=["8-disjoint-sets-n64", "two-blocks-n4", "8-dense-n16"],
 )
-def test_the_partition_test_multiplies_only_projectors_whose_supports_meet(monkeypatch, partition, products):
+def test_the_partition_test_multiplies_only_meeting_supports(monkeypatch, partition, products):
     # max_abs reads the sum's defect once, then one product per pair whose
     # supports meet; a product of two that do not is exactly 0 and is not formed.
     calls = []
@@ -348,9 +348,9 @@ def test_sample_measurement_refuses_labels_that_are_no_collection():
         ([Projector(np.diag([1.0, 0.0])), np.diag([0.0, 1.0])], "partition entry 1 must be a Projector, got ndarray"),
         ("ab", "partition entry 0 must be a Projector, got str"),
     ],
-    ids=["int", "none", "array", "array-after-a-projector", "str"],
+    ids=["int", "none", "array", "array-second", "str"],
 )
-def test_sample_measurement_refuses_a_partition_that_is_no_iterable_of_projectors(partition, message):
+def test_sample_measurement_refuses_what_is_no_partition(partition, message):
     with pytest.raises(ValidationError) as info:
         sample_measurement(partition, DensityMatrix(PLUS_STATE), 10, 0)
     assert str(info.value) == message
@@ -426,7 +426,9 @@ def test_sample_classical_many_states():
     assert len(report.counts) == n
 
 
-@pytest.mark.parametrize("n_samples, seed", [(2**63, 0), (10**30, 0), (10, -1)])
+@pytest.mark.parametrize(
+    "n_samples, seed", [(2**63, 0), (10**30, 0), (10, -1)], ids=["n-past-int64", "n-huge", "seed-negative"]
+)
 def test_samplers_refuse_out_of_range_draw_args(n_samples, seed):
     with pytest.raises(ValidationError):
         sample_classical(ClassicalCycle(1, ((1, 1.0),)), n_samples, seed)
@@ -472,7 +474,7 @@ def test_counts_and_seeds_are_refused_rather_than_coerced(call, message):
         (lambda: sample_classical(TWO_STATES, 1, -1), "seed must be >= 0"),
         (lambda: time_average_indicator(TWO_STATES, 0), "steps must be >= 1"),
     ],
-    ids=["n-past-int64", "measurement-n-past-int64", "n-zero-before-seed-type", "seed-negative", "steps-zero"],
+    ids=["n-past-int64", "partition-n-past-int64", "n-zero-before-seed-type", "seed-negative", "steps-zero"],
 )
 def test_each_count_is_read_then_bounded_before_the_next(call, message):
     with pytest.raises(ValidationError) as info:

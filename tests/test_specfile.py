@@ -27,7 +27,7 @@ SPECS = {
     "accepted": ({"rho": HALF, "projectors": {"a": [1, 0], "b": HALF}}, None),
     "bad-json": ('{"rho": ', SpecParseError),
     "missing-file": (None, SpecParseError),
-    "dimension-mismatch": ({"rho": HALF, "projectors": {"a": [1, 0, 0]}}, SpecParseError),
+    "dim-mismatch": ({"rho": HALF, "projectors": {"a": [1, 0, 0]}}, SpecParseError),
     "not-a-density": ({"rho": matrix_to_rows(np.eye(2))}, ValidationError),
     "bad-cycle": ({"cycle": {"n": 2, "schedule": [[1, 1.0], [2, -1.0]]}}, ValidationError),
 }
@@ -71,7 +71,7 @@ def test_the_collector_is_paused_while_matrices_are_built(tmp_path, collector_st
     assert gc.isenabled()
 
 
-def test_a_path_that_is_no_str_bytes_or_path_like_is_refused_before_anything_is_opened():
+def test_a_path_of_another_type_is_refused_before_anything_is_opened():
     read_end, write_end = os.pipe()
     content = json.dumps(SPECS["accepted"][0]).encode()
     os.write(write_end, content)
@@ -179,7 +179,7 @@ NUMBER_SPECS = {
 
 @pytest.mark.parametrize("literal", NUMBER_FORMS, ids=[form.decode() for form in NUMBER_FORMS])
 @pytest.mark.parametrize("template", NUMBER_SPECS.values(), ids=NUMBER_SPECS.keys())
-def test_orjson_first_reads_hand_written_numbers_as_json_alone_does(tmp_path, monkeypatch, template, literal):
+def test_orjson_reads_hand_written_numbers_as_json_does(tmp_path, monkeypatch, template, literal):
     path = tmp_path / "spec.json"
     path.write_bytes(template.replace(b"L", literal))
     shipped = _outcome(str(path))
@@ -236,11 +236,11 @@ REFUSALS = {
         b"[" * 100000 + b"]" * 100000,
         "error[SpecParse]: {path} nests JSON arrays or objects too deeply",
     ),
-    "deep-nesting-in-a-field": (  # refusing RealityMode(...) takes the repr of the whole list
+    "deep-mode": (  # refusing RealityMode(...) takes the repr of the whole list
         b'{"reality_mode": ' + b"[" * 5000 + b"]" * 5000 + b"}",
         "error[SpecParse]: {path} nests JSON arrays or objects too deeply",
     ),
-    "deep-objects-in-a-field": (
+    "deep-algebra": (
         b'{"algebra": ' + b'{"a": ' * 5000 + b"0" + b"}" * 5000 + b"}",
         "error[SpecParse]: {path} nests JSON arrays or objects too deeply",
     ),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import json
 
 import numpy as np
@@ -218,6 +219,23 @@ def test_dephase_kills_cross_energy_coherence():
     np.testing.assert_allclose(result.mat, np.diag([0.5, 0.5]), atol=1e-15)
 
 
+# rho's 1e-8 Hermiticity defect sits in rho_01, inside the degenerate sector
+# of H, so the pinching keeps it: within 1e-6, beyond the default tolerance.
+LOOSE_RHO = np.diag([0.4, 0.3, 0.2, 0.1])
+LOOSE_RHO[0, 1], LOOSE_RHO[1, 0] = 0.05 + 1e-8, 0.05
+LOOSE_H = np.diag([0.0, 0.0, 1.0, 2.0])
+
+
+def test_dephase_validates_the_pinched_state_at_its_tol():
+    rho, h = DensityMatrix(LOOSE_RHO, tol=1e-6), Hamiltonian(LOOSE_H)
+    with pytest.raises(ValidationError, match="not a density matrix"):
+        dephase(rho, h)
+    assert max_abs(dephase(rho, h, tol=1e-6).mat - rho.mat) <= 1e-15
+    for bad, message in [(0.0, "finite and > 0, got 0.0"), (math.nan, "finite and > 0, got nan"), ("1e-6", "got str")]:
+        with pytest.raises(ValidationError, match=f"^tol must be .*{message}"):
+            dephase(rho, h, tol=bad)
+
+
 def test_dephase_zero_hamiltonian_is_identity_map():
     rng = np.random.default_rng(54)
     rho = random_density(rng, 4)
@@ -390,7 +408,7 @@ def test_hamiltonian_sectors_label_each_eigen_index_read_only():
     ],
     ids=["one-level", "zero", "distinct", "near-degenerate", "complex", "gap-beyond-float-range"],
 )
-def test_sectors_are_a_read_only_integer_labelling_of_the_eigen_indices(mat, sectors):
+def test_sectors_are_read_only_integer_labels(mat, sectors):
     h = Hamiltonian(np.asarray(mat))
     assert h.sectors.tolist() == sectors
     assert h.sectors.ndim == 1 and h.sectors.dtype.kind == "i" and not h.sectors.flags.writeable
@@ -448,7 +466,7 @@ def _refuse_constant(name):
     [((1e308, 1e308), [1e308]), ((1e308, -1e308), [-1e308, 1e308])],
     ids=["sum-overflows", "gap-overflows"],
 )
-def test_levels_near_the_float_range_split_and_average_without_overflow(tmp_path, capsys, levels, energies):
+def test_levels_near_the_float_range_split_and_average(tmp_path, capsys, levels, energies):
     spec = tmp_path / "system.json"
     obj = {
         "rho": matrix_to_rows(np.eye(2) / 2),
