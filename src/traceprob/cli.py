@@ -18,6 +18,7 @@ import reprlib
 import sys
 
 import numpy as np
+import orjson
 
 from .classical import PerceptionSet, classical_density, classical_prob, dwell_fractions
 from .classical import diag_projector  # noqa: F401  (perfbench/tracer.py wraps cli.diag_projector)
@@ -34,12 +35,25 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.10g}{z.imag:+.10g}j"
+_ENTRY = "%.10g%+.10gj"  # one complex entry of a text matrix: "1.5-0.25j"
 
 
 def _fmt_matrix(a: np.ndarray) -> str:
-    return "\n".join("  [ " + "  ".join(_fmt_complex(z) for z in row) + " ]" for row in a)
+    """One line per row, each row formatted by one ``%``; where fewer than half
+    the entries differ from +0.0+0.0j (a diagonal matrix), those are written
+    as the text "0+0j" and only the others take a ``%``."""
+    n_rows, n_cols = a.shape
+    values = np.stack([a.real, a.imag], -1)
+    written = ((values != 0.0) | np.signbit(values)).any(-1)  # the entries other than +0.0+0.0j
+    if 2 * np.count_nonzero(written) < written.size:
+        entries = [["0+0j"] * n_cols for _ in range(n_rows)]
+        for (i, j), pair in zip(np.argwhere(written).tolist(), values[written].tolist()):
+            entries[i][j] = _ENTRY % tuple(pair)
+        rows = map("  ".join, entries)
+    else:
+        template = "  ".join([_ENTRY] * n_cols)
+        rows = (template % tuple(row) for row in values.reshape(n_rows, 2 * n_cols).tolist())
+    return "\n".join("  [ " + row + " ]" for row in rows)
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -72,8 +86,37 @@ def _matrix_json(a: np.ndarray) -> str:
         for k, text in zip((2 * np.flatnonzero(written) + 1).tolist(), map(float.__repr__, values[written].tolist())):
             parts[k] = text
     else:
-        parts[1::2] = map(float.__repr__, values.tolist())
+        parts[1::2] = _float_texts(values)
     return "".join(parts) + _MATRIX_CLOSE
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each float of ``values``, a finite float64 vector, from orjson's digits.
+
+    orjson writes the shortest round-trip digits, as ``repr`` does, in C. Its
+    text differs from ``repr``'s in two layouts only, and both are rewritten
+    over the whole array: 1e-5 <= |x| < 1e-4 is positional ("0.000012" for
+    "1.2e-05"), and an exponent has no sign or zero padding ("1e-7", "1e16"
+    for "1e-07", "1e+16"). The signs come from ``np.signbit``, since orjson
+    writes |x|. 24 bytes hold every repr: "-2.2250738585072014e-308".
+    """
+    dumped = orjson.dumps(np.abs(values), option=orjson.OPT_SERIALIZE_NUMPY)  # "[1e-7,0.5,...]"
+    tokens = np.array(dumped[1:-1].split(b","), dtype="S24")
+    exponent_form = np.char.find(tokens, b"e") >= 0
+    if exponent_form.any():
+        mantissa, _, exponent = np.char.partition(tokens[exponent_form], b"e").T
+        sign = np.where(np.char.startswith(exponent, b"-"), b"e-", b"e+")
+        digits = np.char.zfill(np.char.lstrip(exponent, b"-"), 2)
+        tokens[exponent_form] = np.char.add(np.char.add(mantissa, sign), digits)
+    positional = np.char.startswith(tokens, b"0.0000")  # 1e-5 <= |x| < 1e-4: "0.0000" and the digits
+    if positional.any():
+        digits = np.char.lstrip(tokens[positional], b"0.")
+        # "." after the first digit, on the bytes of each token
+        grid = np.insert(digits.view(np.uint8).reshape(len(digits), -1), 1, ord("."), axis=1)
+        dotted = grid.view(f"S{grid.shape[1]}").ravel()
+        tokens[positional] = np.char.add(np.char.rstrip(dotted, b"."), b"e-05")  # "1." (for 1e-05) loses its point
+    signed = np.char.add(np.where(np.signbit(values), b"-", b""), tokens)
+    return b",".join(signed.tolist()).decode().split(",")
 
 
 def json_text(payload: dict) -> str:
@@ -87,8 +130,10 @@ def json_text(payload: dict) -> str:
     one level by prefixing every line break: a JSON string holds no raw
     newline. Matrices are written as one join of float reprs between fixed
     separators, at C speed; ``json.dumps`` with an indent runs the
-    pure-Python encoder. Where most of a matrix's floats are +0.0 (a diagonal
-    one), they are written as the text "0.0" and only the others take a repr.
+    pure-Python encoder. A dense matrix's reprs are rewritten from orjson's
+    digits by :func:`_float_texts`. Where most of a matrix's floats are +0.0
+    (a diagonal one), they are written as the text "0.0" and only the others
+    take a ``repr``.
     """
     items = [
         json.dumps(key)

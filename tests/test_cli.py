@@ -415,9 +415,25 @@ def test_golden_spec_gets_the_same_exit_and_stderr_in_both_modes(tmp_path_factor
 
 # --- the --json writer ---
 
-# Entries whose reprs take each form: signed zero, the smallest subnormal,
-# and the exponent forms at both ends.
-MATRIX_ENTRIES = st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 1e16, 1e22, -1e22]) | st.floats(
+# Floats whose reprs take each form, and the neighbours of each place where
+# repr's layout changes: signed zero, the smallest subnormal, the smallest
+# normal and its lower neighbour, one ulp either side of 1e-5, 1e-4, 1e15,
+# 1e16, 1e21 and 1e22, one-digit values, and 17-digit values in each range.
+FLOAT_EDGES = [
+    0.0,
+    -0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    math.nextafter(2.2250738585072014e-308, 0.0),
+    *(math.nextafter(x, toward) for x in (1e-5, 1e-4, 1e15, 1e16, 1e21, 1e22) for toward in (0.0, math.inf)),
+    *(float(f"{d}e{e}") for d in (1, 2, 9) for e in (-7, -5, -4, 15, 16, 22)),
+    1.3646643630321325e-07,
+    1.0243726515143181e-05,
+    0.0012989116202186328,
+    7493933473226503.0,
+    3.6674358257827245e17,
+]
+MATRIX_ENTRIES = st.sampled_from(FLOAT_EDGES + [-x for x in FLOAT_EDGES]) | st.floats(
     allow_nan=False, allow_infinity=False
 )
 WRITER_LABELS = TEXT | st.sampled_from(['say "hi"', "two\nlines", "ünïcødé ψ", "traceprob-matrix-0", "back\\slash"])
@@ -454,12 +470,28 @@ def mostly_zero_matrices(draw):
     return flat.view(complex).reshape(n, n)
 
 
+SPECTRAL_ENTRIES = st.builds(operator.mul, st.sampled_from([1.0, -1.0]), st.floats(1e-5, 1e-4, exclude_max=True))
+
+
+@st.composite
+def spectral_matrices(draw):
+    """Dense matrices whose floats mostly lie in [1e-5, 1e-4) in magnitude, as
+    most of a dephased state's do: orjson writes those positionally and repr in
+    exponent form. Up to n floats are drawn from all entries instead."""
+    n = draw(st.integers(1, 6))
+    flat = draw(st.lists(SPECTRAL_ENTRIES, min_size=2 * n * n, max_size=2 * n * n))
+    for k in draw(st.lists(st.integers(0, 2 * n * n - 1), max_size=n)):
+        flat[k] = draw(MATRIX_ENTRIES)
+    return np.array(flat).view(complex).reshape(n, n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     payload=st.dictionaries(
         WRITER_LABELS,
         complex_matrices()
         | mostly_zero_matrices()
+        | spectral_matrices()
         | JSON_VALUES
         | WRITER_LABELS
         | st.lists(st.fixed_dictionaries({"label": WRITER_LABELS, "probability": MATRIX_ENTRIES})),
@@ -470,6 +502,57 @@ def mostly_zero_matrices(draw):
 def test_json_writer_is_indented_dumps_byte_for_byte(payload):
     rows = {key: matrix_to_rows(v) if isinstance(v, np.ndarray) else v for key, v in payload.items()}
     assert json_text(payload) == json.dumps(rows, indent=2)
+
+
+def test_float_texts_are_reprs():
+    # Dense matrices take their float text from orjson's digits; an orjson
+    # release that changes its float text fails here.
+    rng = np.random.default_rng(31)
+    magnitudes = 10.0 ** rng.uniform(-325.0, 308.25, 60_000) * rng.choice([-1.0, 1.0], 60_000)
+    patterns = rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(float)
+    values = np.concatenate([magnitudes, patterns[np.isfinite(patterns)], FLOAT_EDGES, np.negative(FLOAT_EDGES)])
+    assert values.size > 100_000
+    assert cli._float_texts(values) == list(map(float.__repr__, values.tolist()))
+
+
+# --- the text matrix writer ---
+
+
+def _fmt_matrix_by_entry(a: np.ndarray) -> str:
+    """The text matrix as one f-string per entry formatted it: the oracle of the row-at-a-time writer."""
+    return "\n".join("  [ " + "  ".join(f"{z.real:.10g}{z.imag:+.10g}j" for z in row) + " ]" for row in a)
+
+
+TEXT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e-5, 1e300, -1e300, 1 / 3]
+TEXT_ENTRIES = st.sampled_from(TEXT_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def half_zero_matrices(draw):
+    """Matrices in which the entries other than +0.0+0.0j are at most half of
+    the entries, or one past half; the writer writes +0.0+0.0j as text when
+    fewer than half of the entries differ from it."""
+    n = draw(st.integers(1, 8))
+    half = n * n // 2
+    count = draw(st.sampled_from([half - 1, half, half + 1]).filter(lambda c: c >= 0))
+    a = np.zeros((n, n), dtype=complex)
+    slots = draw(st.permutations(range(n * n)))[:count]
+    pairs = st.tuples(TEXT_ENTRIES, TEXT_ENTRIES).filter(lambda z: any(z) or np.signbit(z).any())  # not (+0.0, +0.0)
+    for slot in slots:
+        a.real.flat[slot], a.imag.flat[slot] = draw(pairs)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=complex_matrices() | mostly_zero_matrices() | spectral_matrices() | half_zero_matrices())
+def test_text_matrix_writer_is_the_per_entry_format(a):
+    assert cli._fmt_matrix(a) == _fmt_matrix_by_entry(a)
+
+
+@pytest.mark.parametrize("value", TEXT_EDGES, ids=repr)
+def test_text_matrix_writer_formats_each_edge_value(value):
+    a = np.array([[complex(value, -value), value], [1j * value, 0.0]])
+    assert cli._fmt_matrix(a) == _fmt_matrix_by_entry(a)
 
 
 # --- sample ---

@@ -42,6 +42,7 @@ from traceprob import (
     trace_prob,
 )
 from traceprob.cli import main
+from traceprob import superselect
 from traceprob.superselect import COMPLIANCE_TOL, _mean, pinch
 
 PLUS_STATE = np.full((2, 2), 0.5)
@@ -353,6 +354,79 @@ def test_compliant_probabilities_are_time_independent():
         for t in rng.uniform(0.0, 50.0, size=5):
             assert abs(trace_prob(p, evolve(rho, h, t)) - baseline) <= 1e-9
 
+
+
+# --- compliance near its threshold ---
+#
+# The verdict's definition, kept here as the oracle: one pinching, compared in the original basis.
+def _compliant_by_pinching(p: Projector, h: Hamiltonian) -> bool:
+    return max_abs(pinch(p.mat, h) - p.mat) <= COMPLIANCE_TOL
+
+
+# is_superselection_compliant first measures F = |Y_off|_F, the Frobenius norm
+# of the part of y = V^dagger P V that joins two sectors. pinch(P) - P =
+# -V Y_off V^dagger with V unitary, and the Frobenius norm is unitarily
+# invariant, so F = |M|_F for M = pinch(P) - P. For an n x n matrix,
+# max_abs(M) <= |M|_F <= n max_abs(M). Hence, with tol = COMPLIANCE_TOL:
+#  - F <= tol/2 gives max_abs(M) <= F <= tol/2 <= tol: compliant, without rotating back.
+#  - F > 2n tol gives max_abs(M) >= F/n > 2 tol > tol: not compliant, without rotating back.
+#  - Between the two, the norm does not decide, and the rotation back decides as the oracle does.
+# Each fast bound keeps a factor 2 from the bound the inequality allows (tol and
+# n tol), against the rounding of the computed V, about n * 1e-16 here.
+NEAR_TOL = {
+    "max-0.5x": ("max", 0.5 * COMPLIANCE_TOL),
+    "max-0.99x": ("max", 0.99 * COMPLIANCE_TOL),
+    "max-1.01x": ("max", 1.01 * COMPLIANCE_TOL),
+    "max-2x": ("max", 2 * COMPLIANCE_TOL),
+    "fro-in-half": ("fro", 0.99 * COMPLIANCE_TOL / 2),
+    "fro-out-half": ("fro", 1.01 * COMPLIANCE_TOL / 2),
+    "fro-in-2n": ("fro", 0.99 * 2 * COMPLIANCE_TOL),  # times n below
+    "fro-out-2n": ("fro", 1.01 * 2 * COMPLIANCE_TOL),
+}
+
+
+def _tilted_projector(u: np.ndarray, columns: list[int], k: np.ndarray, eps: float) -> Projector:
+    """exp(i eps K) P0 exp(-i eps K), where P0 projects onto the given columns of ``u``."""
+    w, q = np.linalg.eigh(k)
+    r = (q * np.exp(1j * eps * w)) @ q.conj().T
+    p = r @ u[:, columns] @ (r @ u[:, columns]).conj().T
+    return Projector((p + p.conj().T) / 2)
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_compliance_near_its_threshold_agrees_with_one_pinching(monkeypatch, n):
+    # H has sectors of two levels (n=8) or one (n=2) in a random basis U; P0, the
+    # projector onto some of U's columns, is compliant, and exp(i eps K) tilts it
+    # out by a defect linear in eps to first order (eps**2 is about 1e-18 here).
+    # Each case scales eps so that max_abs(M) or |M|_F lands on its target.
+    rng = np.random.default_rng(1031 + n)
+    u = random_basis(rng, n)
+    levels = np.repeat(np.arange(n // 2, dtype=float), 2) if n > 2 else np.array([0.0, 1.0])
+    h = Hamiltonian((u * levels) @ u.conj().T)
+    columns = [0] if n == 2 else [0, 1, 4]
+    k = random_hermitian(rng, n)
+    rotations = []
+    monkeypatch.setattr(superselect, "max_abs", lambda m: rotations.append(1) or max_abs(m))
+
+    def defects(p):
+        m = pinch(p.mat, h) - p.mat
+        return {"max": max_abs(m), "fro": float(np.linalg.norm(m))}
+
+    base = defects(_tilted_projector(u, columns, k, 1e-9))
+    cases = {name: (kind, target * (n if name.endswith("2n") else 1)) for name, (kind, target) in NEAR_TOL.items()}
+    cases.update({"exact": ("max", 0.0), "far": ("max", 1e-6)})
+    branches = set()
+    for name, (kind, target) in cases.items():
+        p = _tilted_projector(u, columns, k, 1e-9 * target / base[kind])
+        got = defects(p)
+        assert got[kind] == pytest.approx(target, rel=1e-4, abs=1e-12), name  # the case is the one it names
+        rotations.clear()
+        verdict = is_superselection_compliant(p, h)
+        assert verdict == _compliant_by_pinching(p, h), name
+        decided_by_norm = not COMPLIANCE_TOL / 2 < got["fro"] <= 2 * n * COMPLIANCE_TOL
+        assert bool(rotations) != decided_by_norm, name
+        branches.add("rotated back" if rotations else f"norm: {verdict}")
+    assert branches == {"norm: True", "norm: False", "rotated back"}
 
 # --- pinching ---
 
