@@ -368,9 +368,9 @@ def _compliant_by_pinching(p: Projector, h: Hamiltonian) -> bool:
 # -V Y_off V^dagger with V unitary, and the Frobenius norm is unitarily
 # invariant, so F = |M|_F for M = pinch(P) - P. For an n x n matrix,
 # max_abs(M) <= |M|_F <= n max_abs(M). Hence, with tol = COMPLIANCE_TOL:
-#  - F <= tol/2 gives max_abs(M) <= F <= tol/2 <= tol: compliant, without rotating back.
-#  - F > 2n tol gives max_abs(M) >= F/n > 2 tol > tol: not compliant, without rotating back.
-#  - Between the two, the norm does not decide, and the rotation back decides as the oracle does.
+#  - F <= tol/2 gives max_abs(M) <= F <= tol/2 <= tol: compliant, from the norm alone.
+#  - F > 2n tol gives max_abs(M) >= F/n > 2 tol > tol: not compliant, from the norm alone.
+#  - Between the two, the norm does not decide, and the pinching decides as the oracle does.
 # Each fast bound keeps a factor 2 from the bound the inequality allows (tol and
 # n tol), against the rounding of the computed V, about n * 1e-16 here.
 NEAR_TOL = {
@@ -405,8 +405,8 @@ def test_compliance_near_its_threshold_agrees_with_one_pinching(monkeypatch, n):
     h = Hamiltonian((u * levels) @ u.conj().T)
     columns = [0] if n == 2 else [0, 1, 4]
     k = random_hermitian(rng, n)
-    rotations = []
-    monkeypatch.setattr(superselect, "max_abs", lambda m: rotations.append(1) or max_abs(m))
+    pinched = []  # one entry per max_abs call: the verdict took the pinching
+    monkeypatch.setattr(superselect, "max_abs", lambda m: pinched.append(1) or max_abs(m))
 
     def defects(p):
         m = pinch(p.mat, h) - p.mat
@@ -420,13 +420,14 @@ def test_compliance_near_its_threshold_agrees_with_one_pinching(monkeypatch, n):
         p = _tilted_projector(u, columns, k, 1e-9 * target / base[kind])
         got = defects(p)
         assert got[kind] == pytest.approx(target, rel=1e-4, abs=1e-12), name  # the case is the one it names
-        rotations.clear()
+        pinched.clear()
         verdict = is_superselection_compliant(p, h)
         assert verdict == _compliant_by_pinching(p, h), name
         decided_by_norm = not COMPLIANCE_TOL / 2 < got["fro"] <= 2 * n * COMPLIANCE_TOL
-        assert bool(rotations) != decided_by_norm, name
-        branches.add("rotated back" if rotations else f"norm: {verdict}")
-    assert branches == {"norm: True", "norm: False", "rotated back"}
+        assert bool(pinched) != decided_by_norm, name
+        branches.add("pinched" if pinched else f"norm: {verdict}")
+    assert branches == {"norm: True", "norm: False", "pinched"}
+
 
 # --- pinching ---
 
