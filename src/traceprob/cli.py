@@ -206,7 +206,7 @@ def render_classical(spec: SystemSpec, payload: dict) -> str:
 
 def cmd_quantum(spec: SystemSpec, args) -> dict:
     have_h = spec.hamiltonian is not None
-    rho_deph = dephase(spec.rho, spec.hamiltonian, tol=args.tol) if have_h else None
+    rho_deph = dephase(spec.rho, spec.hamiltonian) if have_h else None
     entries = []
     for label, e in spec.projectors:
         p = _projector(e)
@@ -235,7 +235,7 @@ def render_quantum(spec: SystemSpec, payload: dict) -> str:
 
 def cmd_dephase(spec: SystemSpec, args) -> dict:
     blocks = energy_blocks(spec.hamiltonian)
-    rho_deph = dephase(spec.rho, spec.hamiltonian, tol=args.tol)
+    rho_deph = dephase(spec.rho, spec.hamiltonian)
     return {
         "blocks": {
             "count": len(blocks),

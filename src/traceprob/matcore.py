@@ -47,16 +47,16 @@ def as_matrix(a) -> np.ndarray:
     return _admit(a, copy=True)
 
 
-def _admit(a, copy: bool = False) -> np.ndarray:
-    """``a`` as a square finite complex matrix, the one conversion of outside input:
-    entries must be numbers (text is refused, not parsed). With ``copy`` the result
-    never shares memory with ``a``; without, a complex array is returned as it is."""
+def _admit(a, copy: bool = False, order: str = "K") -> np.ndarray:
+    """``a`` as a square finite complex matrix, the one conversion of outside input: entries must be
+    numbers (text is refused, not parsed). With ``copy`` the result never shares memory with ``a``
+    and is laid out in numpy's ``order`` ("F": column-major); without, a complex array is returned as it is."""
     try:
         raw = np.asarray(a)
         kind = raw.dtype.kind  # bool, int, uint, float, complex, or object holding Python numbers
         if kind not in "biufcO" or kind == "O" and any(isinstance(x, (str, bytes)) for x in raw.flat):
             raise ValidationError("matrix entries must be numbers")
-        mat = raw.astype(complex, copy=copy and not isinstance(a, (list, tuple)))  # a list's array is new
+        mat = raw.astype(complex, order=order, copy=copy and not isinstance(a, (list, tuple)))  # a list's array is new
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"matrix is not an array of numbers: {exc}") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
@@ -94,7 +94,11 @@ def fsum(values) -> float:
 
 def trace(a) -> complex:
     """Sum of the diagonal, correctly rounded (:func:`fsum` per component)."""
-    diag = np.diagonal(_admit(a))
+    return _trace(_admit(a))
+
+
+def _trace(mat: np.ndarray) -> complex:
+    diag = np.diagonal(mat)
     return complex(fsum(diag.real), fsum(diag.imag))
 
 
@@ -105,65 +109,72 @@ def relative_bound(mat: np.ndarray, tol: float) -> float:
 
 def _real_diagonal(mat: np.ndarray) -> np.ndarray | None:
     """The diagonal of an admitted matrix as a float array when every other
-    entry and every imaginary part is zero, else None; O(n^2)."""
+    entry and every imaginary part is zero, else None; O(n^2). The checks take it as ``diag``."""
     diag = np.diagonal(mat)
     if np.count_nonzero(mat) != np.count_nonzero(diag) or diag.imag.any():
         return None
     return diag.real
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
+def hermiticity_defect(mat: np.ndarray, diag: np.ndarray | None) -> float:
     """|a - a^dagger|_max of an admitted matrix, 0.0 for a real diagonal one
     without forming the difference; inf if a difference overflows."""
-    if _real_diagonal(mat) is not None:
+    if diag is not None:
         return 0.0
+    adjoint = mat.conj().T
     with np.errstate(over="ignore"):
-        return max_abs(mat - mat.conj().T)
+        return max_abs(np.subtract(mat, adjoint, out=adjoint))  # entry by entry, so the buffer is reused
 
 
-def idempotency_defect(mat: np.ndarray) -> float:
-    """|a a - a|_max of an admitted matrix; O(n) past the check for a real diagonal one.
+def idempotency_defect(mat: np.ndarray, diag: np.ndarray | None) -> float:
+    """|a a - a|_max of an admitted matrix; O(n) for a real diagonal one.
     An overflowing product makes it inf or nan, which fails every bound."""
-    diag = _real_diagonal(mat)
     with np.errstate(over="ignore", invalid="ignore"):
         if diag is not None:
             return max_abs(diag * diag - diag)
         return max_abs(mat @ mat - mat)
 
 
-def trace_defect(mat: np.ndarray) -> float:
-    """|tr a - 1| of an admitted matrix; compared with ``tol`` itself, not scaled."""
-    return abs(trace(mat) - 1.0)
-
-
-def min_eigenvalue(mat: np.ndarray) -> float:
+def min_eigenvalue(mat: np.ndarray, diag: np.ndarray | None) -> float:
     """Smallest eigenvalue of an admitted Hermitian matrix; compared with ``-tol``, not scaled.
-    O(n) past the check for a real diagonal one."""
-    diag = _real_diagonal(mat)
+    O(n) for a real diagonal one."""
     return float(np.min(diag if diag is not None else np.linalg.eigvalsh(mat)))
+
+
+def _admitted(a, tol) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """What each check below reads: an admitted matrix, its ``_real_diagonal`` and a checked tol."""
+    tol = _tol(tol)
+    mat = _admit(a)
+    return mat, _real_diagonal(mat), tol
+
+
+def _is_hermitian(mat: np.ndarray, diag: np.ndarray | None, tol: float) -> bool:
+    return hermiticity_defect(mat, diag) <= relative_bound(mat, tol)
+
+
+def _is_projector(mat: np.ndarray, diag: np.ndarray | None, tol: float) -> bool:
+    bound = relative_bound(mat, tol)
+    return hermiticity_defect(mat, diag) <= bound and idempotency_defect(mat, diag) <= bound
+
+
+def _is_density(mat: np.ndarray, diag: np.ndarray | None, tol: float) -> bool:
+    return _is_hermitian(mat, diag, tol) and abs(_trace(mat) - 1.0) <= tol and min_eigenvalue(mat, diag) >= -tol
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``a`` equals its adjoint within ``tol`` (relative to max(1, |a|_max))."""
-    tol = _tol(tol)
-    mat = _admit(a)
-    return hermiticity_defect(mat) <= relative_bound(mat, tol)
+    return _is_hermitian(*_admitted(a, tol))
 
 
 def is_projector(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``a`` is Hermitian and idempotent within ``tol``."""
-    tol = _tol(tol)
-    mat = _admit(a)
-    bound = relative_bound(mat, tol)
-    return hermiticity_defect(mat) <= bound and idempotency_defect(mat) <= bound
+    return _is_projector(*_admitted(a, tol))
 
 
 def is_density(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``a`` is Hermitian, positive semidefinite (eigenvalues >= -tol),
     and of unit trace (|trace - 1| <= tol)."""
-    tol = _tol(tol)
-    mat = _admit(a)
-    return is_hermitian(mat, tol) and trace_defect(mat) <= tol and min_eigenvalue(mat) >= -tol
+    return _is_density(*_admitted(a, tol))
 
 
 def hermitian_eig(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -190,9 +201,11 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     NonFiniteError
         If an eigenvalue is beyond the float range (entries near 1e308 can give one).
     """
-    tol = _tol(tol)
-    mat = _admit(a)
-    defect = hermiticity_defect(mat)
+    return _eig(*_admitted(a, tol))
+
+
+def _eig(mat: np.ndarray, diag: np.ndarray | None, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    defect = hermiticity_defect(mat, diag)
     if defect > relative_bound(mat, tol):
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds tolerance")
     values, vectors = np.linalg.eigh(mat)

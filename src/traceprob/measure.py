@@ -26,8 +26,8 @@ from .errors import (
     ZeroConditionMeasureError,
     ZeroTotalMeasureError,
 )
-from .matcore import DEFAULT_TOL, _labels, _operand, fsum, is_hermitian, min_eigenvalue, same_dim
-from .matcore import matrix_from_rows  # noqa: F401  (perfbench/tracer.py wraps measure.matrix_from_rows)
+from .matcore import DEFAULT_TOL, _is_hermitian, _labels, _operand, _real_diagonal, _tol, fsum, min_eigenvalue, same_dim
+from .matcore import is_hermitian, matrix_from_rows  # noqa: F401  (perfbench/tracer.py wraps both as measure's)
 from .quantum import PROB_SLACK, DensityMatrix, Operator, RealityMode, Sealed, bounded, enforce_reality
 
 ZERO_MEASURE_TOL = 1e-12
@@ -40,12 +40,13 @@ class PovOperator(Operator):
     __slots__ = ()
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
-        m = enforce_reality(mode, mat)
-        if not is_hermitian(m, tol):
+        m, tol = enforce_reality(mode, mat), _tol(tol)
+        diag = _real_diagonal(m)
+        if not _is_hermitian(m, diag, tol):
             raise ValidationError("POV operator must be Hermitian within tolerance")
-        if min_eigenvalue(m) < -tol:
+        if min_eigenvalue(m, diag) < -tol:
             raise ValidationError("POV operator must be positive semidefinite (eigenvalues >= -tol)")
-        self._seal(m)
+        self._seal(m, tol)
 
 
 def _pairs(atoms) -> list[tuple]:
@@ -156,7 +157,7 @@ def union_operator(alg: PerceptionAlgebra, s: Iterable[str]) -> PovOperator:
     zero = np.zeros((alg.dim, alg.dim), dtype=complex)
     with np.errstate(over="ignore"):  # an overflow reads as inf, which PovOperator refuses
         total = sum((alg.atom(label).mat for label in alg.labels if label in labels), zero)
-    return PovOperator(total)
+    return PovOperator(total, tol=max(op.tol for op in alg._atoms.values()))
 
 
 def measure_of(alg: PerceptionAlgebra, s: Iterable[str], rho: DensityMatrix) -> float:

@@ -23,7 +23,9 @@ from .errors import (
     NumericalIntegrityError,
     ValidationError,
 )
-from .matcore import DEFAULT_TOL, UNITARY_TOL, _operand, as_matrix, is_density, is_projector, max_abs, same_dim
+from .matcore import DEFAULT_TOL, UNITARY_TOL, _admit, _is_density, _is_projector, _operand, _real_diagonal, _tol
+from .matcore import as_matrix, max_abs, same_dim
+from .matcore import is_density, is_projector  # noqa: F401  (perfbench/tracer.py wraps both under quantum's names)
 
 REAL_IMAG_TOL = 1e-12
 PROB_SLACK = 1e-9
@@ -39,11 +41,16 @@ class RealityMode(Enum):
 def enforce_reality(mode: RealityMode, a) -> np.ndarray:
     """Pass ``a`` through unchanged; under REAL mode reject imaginary parts > 1e-12.
     ``mode`` is read as ``RealityMode(mode)``, so "real" is REAL; any other value is refused."""
+    return _reality(mode, a, "K")
+
+
+def _reality(mode: RealityMode, a, order: str) -> np.ndarray:
+    """:func:`enforce_reality` of ``a``, admitted by one copy in numpy's ``order``."""
     try:
         mode = RealityMode(mode)
     except ValueError:
         raise ValidationError(f'mode must be a RealityMode, "complex" or "real", got {reprlib.repr(mode)}') from None
-    mat = as_matrix(a)
+    mat = _admit(a, copy=True, order=order)
     if mode is RealityMode.REAL:
         worst = float(np.max(np.abs(mat.imag)))
         if worst > REAL_IMAG_TOL:
@@ -75,15 +82,18 @@ class Sealed:
 class Operator(Sealed):
     """Square complex matrix that passed its class's checks, sealed read-only.
 
-    Each subclass admits its input once through :func:`enforce_reality`, runs
-    its own checks on that copy and seals it with ``_seal``.
+    Each subclass admits its input by one copy through :func:`enforce_reality`,
+    tests it once for a real diagonal, runs its checks on that copy and seals
+    it with ``_seal``, beside ``tol``, the tolerance it passed at. An operator
+    derived from operators is validated at the loosest ``tol`` among them.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "tol")
 
-    def _seal(self, m: np.ndarray) -> None:
+    def _seal(self, m: np.ndarray, tol: float) -> None:
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "tol", tol)
 
     @property
     def dim(self) -> int:
@@ -99,26 +109,26 @@ class Projector(Operator):
     __slots__ = ()
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
-        m = enforce_reality(mode, mat)
-        if not is_projector(m, tol):
+        m, tol = enforce_reality(mode, mat), _tol(tol)
+        if not _is_projector(m, _real_diagonal(m), tol):
             raise ValidationError("matrix is not a projector (Hermitian idempotent) within tolerance")
-        self._seal(m)
+        self._seal(m, tol)
 
 
 class DensityMatrix(Operator):
     """Positive semidefinite Hermitian unit-trace operator, validated once.
 
-    The matrix is sealed in column-major order, so ``mat.T.ravel()`` is a
-    free C-contiguous view of rho^T, the operand of every trace-rule dot.
+    The matrix is copied once, into column-major order, so ``mat.T.ravel()``
+    is a free C-contiguous view of rho^T, the operand of every trace-rule dot.
     """
 
     __slots__ = ()
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
-        m = enforce_reality(mode, mat)
-        if not is_density(m, tol):
+        m, tol = _reality(mode, mat, "F"), _tol(tol)
+        if not _is_density(m, _real_diagonal(m), tol):
             raise ValidationError("matrix is not a density matrix (PSD Hermitian, unit trace) within tolerance")
-        self._seal(np.asfortranarray(m))
+        self._seal(m, tol)
 
 
 def trace_prob(p: Projector, rho: DensityMatrix) -> float:
@@ -168,8 +178,8 @@ def check_invariance(p: Projector, rho: DensityMatrix, u) -> float:
     """|tr(p rho) - tr(p~ rho~)| after conjugating both by ``u``; <= 1e-9 always."""
     _operand(p, Projector, "projector")
     _operand(rho, DensityMatrix, "density")
-    p_tilde = Projector(unitary_conjugate(u, p.mat))
-    rho_tilde = DensityMatrix(unitary_conjugate(u, rho.mat))
+    p_tilde = Projector(unitary_conjugate(u, p.mat), tol=p.tol)
+    rho_tilde = DensityMatrix(unitary_conjugate(u, rho.mat), tol=rho.tol)
     return abs(trace_prob(p, rho) - trace_prob(p_tilde, rho_tilde))
 
 
@@ -195,5 +205,5 @@ def projector_meet(p: Projector, q: Projector) -> Projector:
     _operand(q, Projector, "projector")
     if not commutes(p.mat, q.mat):
         raise NonCommutingError("projectors do not commute; their product is not a projection operator")
-    return Projector(p.mat @ q.mat)
+    return Projector(p.mat @ q.mat, tol=max(p.tol, q.tol))
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .matcore import DEFAULT_TOL, _operand, _time, hermitian_eig, max_abs, same_dim
+from .matcore import DEFAULT_TOL, _eig, _operand, _real_diagonal, _time, _tol, max_abs, same_dim
+from .matcore import hermitian_eig  # noqa: F401  (perfbench/tracer.py wraps superselect.hermitian_eig)
 from .quantum import DensityMatrix, Operator, Projector, RealityMode, enforce_reality
 
 COMPLIANCE_TOL = 1e-9
@@ -40,8 +41,8 @@ class Hamiltonian(Operator):
     __slots__ = ("energies", "eigenvectors", "sectors")
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
-        m = enforce_reality(mode, mat)
-        values, vectors = hermitian_eig(m, tol=tol)
+        m, tol = enforce_reality(mode, mat), _tol(tol)
+        values, vectors = _eig(m, _real_diagonal(m), tol)
         object.__setattr__(self, "energies", values)
         object.__setattr__(self, "eigenvectors", vectors)
         with np.errstate(over="ignore"):  # a gap beyond the float range is inf, and splits the sectors
@@ -49,7 +50,7 @@ class Hamiltonian(Operator):
         sectors = np.concatenate(([0], np.cumsum(split)))
         sectors.setflags(write=False)
         object.__setattr__(self, "sectors", sectors)
-        self._seal(m)
+        self._seal(m, tol)
 
 
 def _mean(values: np.ndarray) -> float:
@@ -109,21 +110,21 @@ def evolve(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
     v = h.eigenvectors
     phases = np.exp(-1j * et)
     u = (v * phases[np.newaxis, :]) @ v.conj().T
-    return DensityMatrix(u @ rho.mat @ u.conj().T)
+    return DensityMatrix(u @ rho.mat @ u.conj().T, tol=max(rho.tol, h.tol))
 
 
-def dephase(rho: DensityMatrix, h: Hamiltonian, *, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def dephase(rho: DensityMatrix, h: Hamiltonian) -> DensityMatrix:
     """Infinite-time average of the evolving state: the pinching sum_k Pi_k rho Pi_k.
 
     Computed by :func:`pinch` in O(n^3) from the Hamiltonian's energy
     sectors. The result is block-diagonal across the energy sectors and has
-    the same trace as rho; it is validated as a density matrix at ``tol``,
-    which should be the tolerance ``rho`` was admitted at.
+    the same trace as rho; it is validated as a density matrix at the looser
+    of the tolerances of ``rho`` and ``h``.
     """
     _operand(rho, DensityMatrix, "density")
     _operand(h, Hamiltonian, "hamiltonian")
     same_dim("density", rho.dim, "hamiltonian", h.dim)
-    return DensityMatrix(pinch(rho.mat, h), tol=tol)
+    return DensityMatrix(pinch(rho.mat, h), tol=max(rho.tol, h.tol))
 
 
 def is_superselection_compliant(p: Projector, h: Hamiltonian) -> bool:

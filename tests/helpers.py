@@ -156,6 +156,24 @@ def averaged_evolution(rho: DensityMatrix, h: Hamiltonian, times: np.ndarray) ->
     return v @ (rho_eig * mean_phase) @ v.conj().T
 
 
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+# exp(-i sigma_y pi/8), the evolution under sigma_y for t = pi/8
+Y_ROTATION = np.array([[np.cos(np.pi / 8), -np.sin(np.pi / 8)], [np.sin(np.pi / 8), np.cos(np.pi / 8)]])
+
+
+def tilted_state(eta: float) -> np.ndarray:
+    """I/2 plus i eta (sigma_x + sigma_z) / sqrt(2): a density matrix but for that anti-Hermitian part.
+
+    Its Hermiticity defect is sqrt(2) eta. Conjugating by ``Y_ROTATION``, as evolution
+    under sigma_y for t = pi/8 does, turns the part to 2i eta times sigma_x or sigma_z,
+    whose defect is 2 eta. At a tolerance of eta / 0.6 the state is admitted and its
+    rotation is not.
+    """
+    return 0.5 * np.eye(2) + 1j * eta * (PAULI_X + PAULI_Z) / np.sqrt(2.0)
+
+
 def spectral_projectors(h: Hamiltonian) -> tuple[np.ndarray, ...]:
     """The spectral projectors Pi_k = V_k V_k^dagger of h, one per energy sector,
     with V_k the eigenvector columns of sector k. They sum to the identity and

@@ -746,9 +746,9 @@ def test_check_computes_each_compliance_verdict_once(tmp_path, capsys, monkeypat
 def test_check_dephases_rho_once(tmp_path, capsys, monkeypatch, stem, mode):
     seen = []
 
-    def counted(rho, h, dephase=cli.dephase, **kwargs):
+    def counted(rho, h, dephase=cli.dephase):
         seen.append(rho)
-        return dephase(rho, h, **kwargs)
+        return dephase(rho, h)
 
     monkeypatch.setattr(cli, "dephase", counted)
     generic = GOLDEN_SPECS["generic"]

@@ -7,7 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import matrix_to_rows, random_basis, random_cycle, random_hermitian, random_projector, random_subset
+from helpers import (
+    matrix_to_rows,
+    random_basis,
+    random_cycle,
+    random_density_matrix,
+    random_hermitian,
+    random_pov_matrix,
+    random_projector,
+    random_projector_matrix,
+    random_subset,
+)
+import traceprob
 from traceprob import (
     ClassicalCycle,
     DensityMatrix,
@@ -360,10 +371,11 @@ def _dense_min_eigenvalue(m: np.ndarray) -> float:
 @pytest.mark.parametrize("kind", DIAGONALS)
 def test_fast_diagonal_path_equals_the_dense_path(kind, n):
     m = DIAGONALS[kind](np.random.default_rng([n, len(kind)]), n)
-    assert matcore._real_diagonal(m) is not None
-    assert _bits(hermiticity_defect(m)) == _bits(_dense_hermiticity_defect(m))
-    assert _bits(idempotency_defect(m)) == _bits(_dense_idempotency_defect(m))
-    assert _bits(min_eigenvalue(m)) == _bits(_dense_min_eigenvalue(m))
+    diag = matcore._real_diagonal(m)
+    assert diag is not None
+    assert _bits(hermiticity_defect(m, diag)) == _bits(_dense_hermiticity_defect(m))
+    assert _bits(idempotency_defect(m, diag)) == _bits(_dense_idempotency_defect(m))
+    assert _bits(min_eigenvalue(m, diag)) == _bits(_dense_min_eigenvalue(m))
 
 
 def _with_entry(m: np.ndarray, i: int, j: int, value: complex) -> np.ndarray:
@@ -385,18 +397,18 @@ DENSE_PATH = {
 @pytest.mark.parametrize("m", DENSE_PATH.values(), ids=DENSE_PATH.keys())
 def test_complex_or_off_diagonal_entries_take_the_dense_path(monkeypatch, m):
     assert matcore._real_diagonal(m) is None
-    assert _bits(hermiticity_defect(m)) == _bits(_dense_hermiticity_defect(m))
-    assert _bits(idempotency_defect(m)) == _bits(_dense_idempotency_defect(m))
+    assert _bits(hermiticity_defect(m, None)) == _bits(_dense_hermiticity_defect(m))
+    assert _bits(idempotency_defect(m, None)) == _bits(_dense_idempotency_defect(m))
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-    assert _bits(min_eigenvalue(m)) == _bits(float(np.min(eigvalsh(m))))
+    assert _bits(min_eigenvalue(m, None)) == _bits(float(np.min(eigvalsh(m))))
     assert len(calls) == 1
 
 
 def test_real_diagonals_skip_the_eigensolver(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", None)
-    assert min_eigenvalue(REAL_DIAGONAL) == float(np.min(REAL_DIAGONAL.real))
+    assert min_eigenvalue(REAL_DIAGONAL, matcore._real_diagonal(REAL_DIAGONAL)) == float(np.min(REAL_DIAGONAL.real))
     assert is_density(classical_density(dwell_fractions(random_cycle(np.random.default_rng(13), 32))))
 
 
@@ -413,6 +425,37 @@ def test_overflowing_defects_refuse_without_a_warning(m):
     # The suite turns warnings into errors, so a RuntimeWarning would fail here.
     assert not is_projector(m)
     assert not is_density(m)
+
+
+# Each operator's input, dense and as a real diagonal (the classical form).
+OPERATOR_INPUTS = {
+    Projector: (random_projector_matrix(np.random.default_rng(14), 8), np.diag([1.0, 0.0] * 4)),
+    DensityMatrix: (random_density_matrix(np.random.default_rng(15), 8), np.diag([0.125] * 8)),
+    PovOperator: (random_pov_matrix(np.random.default_rng(16), 8), np.diag([0.5, 0.0] * 4)),
+    Hamiltonian: (random_hermitian(np.random.default_rng(17), 8), np.diag(np.arange(8.0))),
+}
+
+
+@pytest.mark.parametrize("form", [0, 1], ids=["dense", "real-diagonal"])
+@pytest.mark.parametrize("cls", OPERATOR_INPUTS, ids=lambda cls: cls.__name__)
+def test_each_operator_admits_its_input_once(monkeypatch, cls, form):
+    # Every module's binding of the two passes is counted, wherever a constructor looks them up.
+    calls = {"_admit": 0, "_real_diagonal": 0}
+    for name in calls:
+        original = getattr(matcore, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (matcore, traceprob.quantum, traceprob.measure, traceprob.superselect):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    mat = OPERATOR_INPUTS[cls][form]
+    op = cls(mat)
+    assert calls == {"_admit": 1, "_real_diagonal": 1}
+    assert not np.shares_memory(op.mat, mat)
+    assert op.mat.flags.f_contiguous if cls is DensityMatrix else op.mat.flags.c_contiguous
 
 
 HALF_2 = DensityMatrix(np.eye(2) / 2)

@@ -102,6 +102,21 @@ def test_union_operator_disjoint_sum():
         np.testing.assert_array_equal(lhs, rhs)
 
 
+def test_union_operator_validates_the_sum_at_the_atoms_tol():
+    # Each atom's Hermiticity defect sits in entry (0, 1), so a union's is their sum.
+    def algebra(defect):
+        atom = np.diag([0.25, 0.25]).astype(complex)
+        atom[0, 1] = defect
+        return PerceptionAlgebra.from_matrices([("a", atom), ("b", atom)], tol=1e-6)
+
+    assert union_operator(algebra(1e-8), {"a", "b"}).tol == 1e-6
+    assert union_operator(algebra(0.6e-6), {"a"}).tol == 1e-6
+    with pytest.raises(ValidationError, match="must be Hermitian"):
+        union_operator(algebra(0.6e-6), {"a", "b"})
+    mixed = PerceptionAlgebra([("a", PovOperator(np.eye(2))), ("b", PovOperator(np.eye(2), tol=1e-6))])
+    assert union_operator(mixed, {"a"}).tol == 1e-6
+
+
 def test_union_operator_unknown_label():
     with pytest.raises(UnknownLabelError):
         union_operator(_two_atom_algebra(), {"nope"})

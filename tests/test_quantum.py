@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    Y_ROTATION,
     random_basis,
     random_density,
     random_density_matrix,
@@ -18,6 +19,7 @@ from helpers import (
     random_projector,
     random_projector_matrix,
     random_subset,
+    tilted_state,
 )
 from traceprob import (
     DensityMatrix,
@@ -351,7 +353,7 @@ def _with_layout(op, mat):
     """A copy of ``op`` holding ``mat`` as is, bypassing the constructor's copy
     (which always yields a contiguous array), so any memory layout can be tested."""
     out = object.__new__(type(op))
-    out._seal(mat)
+    out._seal(mat, op.tol)
     return out
 
 
@@ -520,6 +522,19 @@ def test_check_invariance_random_sweep():
     assert worst <= 1e-9
 
 
+# A projector within tol=1e-6 but not 1e-10: its Hermiticity defect is 1e-8.
+P_LOOSE = np.diag([1.0, 0.0]).astype(complex)
+P_LOOSE[0, 1] = 1e-8
+
+
+def test_check_invariance_validates_the_conjugates_at_their_operands_tol():
+    p = Projector(P_LOOSE, tol=1e-6)
+    assert check_invariance(p, DensityMatrix(np.eye(2) / 2), np.eye(2)) == 0.0
+    # The rotation raises rho's defect of 0.85e-6 to 1.2e-6, beyond its tol.
+    with pytest.raises(ValidationError, match="not a density matrix"):
+        check_invariance(Projector(np.diag([1.0, 0.0])), DensityMatrix(tilted_state(0.6e-6), tol=1e-6), Y_ROTATION)
+
+
 # --- commutation and the meet ---
 
 
@@ -578,6 +593,16 @@ def test_projector_meet_with_identity():
     rng = np.random.default_rng(41)
     p = random_projector(rng, 4)
     np.testing.assert_allclose(projector_meet(p, Projector(np.eye(4))).mat, p.mat, atol=0.0)
+
+
+def test_projector_meet_validates_the_product_at_the_looser_tol():
+    p = Projector(P_LOOSE, tol=1e-6)
+    assert projector_meet(p, p).tol == projector_meet(Projector(np.eye(2)), p).tol == 1e-6
+    # P P - P = 1e-6 I, so (P P)(P P) - P P is 2e-6 P + 1e-12 I: within 3e-6, not within 1.5e-6.
+    tilted = np.array([[1.0, 1e-3], [1e-3, 0.0]])
+    with pytest.raises(ValidationError, match="not a projector"):
+        projector_meet(Projector(tilted, tol=1.5e-6), Projector(tilted, tol=1.5e-6))
+    assert projector_meet(Projector(tilted, tol=1.5e-6), Projector(tilted, tol=3e-6)).tol == 3e-6
 
 
 def test_projector_meet_refuses_non_commuting():

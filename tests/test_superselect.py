@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    PAULI_Y,
     averaged_evolution,
     degenerate_hamiltonian,
     matrix_to_rows,
@@ -20,7 +21,9 @@ from helpers import (
     random_projector,
     sector_sum,
     spectral_projectors,
+    tilted_state,
 )
+import traceprob.superselect
 from traceprob import (
     DensityMatrix,
     DimensionMismatchError,
@@ -145,6 +148,17 @@ def test_evolve_takes_a_huge_time_whose_phase_is_finite(energy, t):
     np.testing.assert_allclose(rho.mat, np.eye(2) / 2, atol=1e-15)
 
 
+def test_evolve_validates_the_evolved_state_at_its_operands_tol():
+    # rho's 1e-8 Hermiticity defect is within its tol; evolving does not move it.
+    rho = DensityMatrix(LOOSE_RHO, tol=1e-6)
+    assert max_abs(evolve(rho, Hamiltonian(LOOSE_H), 0.0).mat - rho.mat) <= 1e-15
+    # The rotation raises a defect of 0.85e-6 to 1.2e-6: beyond rho's tol, within a looser h's.
+    tilted = DensityMatrix(tilted_state(0.6e-6), tol=1e-6)
+    with pytest.raises(ValidationError, match="not a density matrix"):
+        evolve(tilted, Hamiltonian(PAULI_Y), math.pi / 8)
+    assert evolve(tilted, Hamiltonian(PAULI_Y, tol=2e-6), math.pi / 8).tol == 2e-6
+
+
 # --- energy blocks ---
 
 
@@ -222,19 +236,28 @@ def test_dephase_kills_cross_energy_coherence():
 
 # rho's 1e-8 Hermiticity defect sits in rho_01, inside the degenerate sector
 # of H, so the pinching keeps it: within 1e-6, beyond the default tolerance.
-LOOSE_RHO = np.diag([0.4, 0.3, 0.2, 0.1])
+EXACT_RHO = np.diag([0.4, 0.3, 0.2, 0.1])
+LOOSE_RHO = EXACT_RHO.copy()
 LOOSE_RHO[0, 1], LOOSE_RHO[1, 0] = 0.05 + 1e-8, 0.05
 LOOSE_H = np.diag([0.0, 0.0, 1.0, 2.0])
 
 
-def test_dephase_validates_the_pinched_state_at_its_tol():
+def test_dephase_validates_the_pinched_state_at_its_tol(monkeypatch):
+    # The looser of rho's and h's tolerances, whichever of the two holds it.
     rho, h = DensityMatrix(LOOSE_RHO, tol=1e-6), Hamiltonian(LOOSE_H)
+    assert max_abs(dephase(rho, h).mat - rho.mat) <= 1e-15
+    assert dephase(rho, h).tol == dephase(DensityMatrix(EXACT_RHO), Hamiltonian(LOOSE_H, tol=1e-6)).tol == 1e-6
+    # A pinched state whose defect is beyond that tolerance is still refused.
+    bump = np.zeros((4, 4))
+    monkeypatch.setattr(traceprob.superselect, "pinch", lambda x, h: x + bump)
+    exact = DensityMatrix(EXACT_RHO, tol=1e-6)
+    bump[0, 1] = 0.5e-6
+    assert dephase(exact, h).tol == 1e-6
+    bump[0, 1] = 2e-6
     with pytest.raises(ValidationError, match="not a density matrix"):
-        dephase(rho, h)
-    assert max_abs(dephase(rho, h, tol=1e-6).mat - rho.mat) <= 1e-15
-    for bad, message in [(0.0, "finite and > 0, got 0.0"), (math.nan, "finite and > 0, got nan"), ("1e-6", "got str")]:
-        with pytest.raises(ValidationError, match=f"^tol must be .*{message}"):
-            dephase(rho, h, tol=bad)
+        dephase(exact, h)
+    with pytest.raises(TypeError):
+        dephase(rho, h, tol=1e-6)  # the tolerance is the operands'
 
 
 def test_dephase_zero_hamiltonian_is_identity_map():
