@@ -36,7 +36,6 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOL,
-    as_matrix,
     hermitian_eig,
     is_density,
     is_hermitian,
@@ -60,7 +59,6 @@ from .quantum import (
     RealityMode,
     check_invariance,
     commutes,
-    enforce_reality,
     projector_meet,
     trace_prob,
     unitary_conjugate,

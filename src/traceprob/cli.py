@@ -23,7 +23,7 @@ import orjson
 from .classical import PerceptionSet, classical_density, classical_prob, dwell_fractions
 from .classical import diag_projector  # noqa: F401  (perfbench/tracer.py wraps cli.diag_projector)
 from .errors import NotAPartitionError, TraceProbError, ValidationError, located
-from .matcore import DEFAULT_TOL, _tol, trace
+from .matcore import DEFAULT_TOL, _tol, _trace
 from .measure import measure_of, normalized_prob, total_measure
 from .quantum import DensityMatrix, trace_prob
 from .sampler import deviation_check, sample_classical, sample_measurement
@@ -243,7 +243,7 @@ def cmd_dephase(spec: SystemSpec, args) -> dict:
             "clusters": [list(indices) for _, indices in blocks],
         },
         "rho_dephased": rho_deph.mat,
-        "trace": trace(rho_deph.mat).real,
+        "trace": _trace(rho_deph.mat).real,
     }
 
 

@@ -35,22 +35,10 @@ DEFAULT_TOL = 1e-10
 UNITARY_TOL = 1e-9
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a fresh square complex matrix with finite entries.
-
-    Raises
-    ------
-    ValidationError
-        If the input is not square 2-D with dim >= 1, has an entry that is not
-        a number (text included), or carries NaN/Inf.
-    """
-    return _admit(a, copy=True)
-
-
 def _admit(a, copy: bool = False, order: str = "K") -> np.ndarray:
     """``a`` as a square finite complex matrix, the one conversion of outside input: entries must be
-    numbers (text is refused, not parsed). With ``copy`` the result never shares memory with ``a``
-    and is laid out in numpy's ``order`` ("F": column-major); without, a complex array is returned as it is."""
+    numbers (text is refused, not parsed). With ``copy`` the result never shares memory with ``a`` and is
+    laid out in numpy's ``order`` ("C": row-major, "F": column-major); without, a complex array is returned as it is."""
     try:
         raw = np.asarray(a)
         kind = raw.dtype.kind  # bool, int, uint, float, complex, or object holding Python numbers
@@ -61,7 +49,7 @@ def _admit(a, copy: bool = False, order: str = "K") -> np.ndarray:
         raise ValidationError(f"matrix is not an array of numbers: {exc}") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValidationError(f"expected a square matrix with dim >= 1, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+    if not np.isfinite(mat).all():
         raise ValidationError("matrix entries must be finite (no NaN/Inf)")
     return mat
 

@@ -28,19 +28,20 @@ from .errors import (
 )
 from .matcore import DEFAULT_TOL, _is_hermitian, _labels, _operand, _real_diagonal, _tol, fsum, min_eigenvalue, same_dim
 from .matcore import is_hermitian, matrix_from_rows  # noqa: F401  (perfbench/tracer.py wraps both as measure's)
-from .quantum import PROB_SLACK, DensityMatrix, Operator, RealityMode, Sealed, bounded, enforce_reality
+from .quantum import PROB_SLACK, DensityMatrix, Operator, RealityMode, Sealed, _reality, bounded
 
 ZERO_MEASURE_TOL = 1e-12
 MEASURE_SLACK = 1e-10
 
 
 class PovOperator(Operator):
-    """Positive semidefinite Hermitian operator; not required idempotent or <= I."""
+    """Positive semidefinite Hermitian operator; not required idempotent or <= I.
+    Copied once, into row-major order, as a :class:`Projector` is."""
 
     __slots__ = ()
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
-        m, tol = enforce_reality(mode, mat), _tol(tol)
+        m, tol = _reality(mode, mat, "C"), _tol(tol)
         diag = _real_diagonal(m)
         if not _is_hermitian(m, diag, tol):
             raise ValidationError("POV operator must be Hermitian within tolerance")

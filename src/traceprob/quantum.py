@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .matcore import DEFAULT_TOL, UNITARY_TOL, _admit, _is_density, _is_projector, _operand, _real_diagonal, _tol
-from .matcore import as_matrix, max_abs, same_dim
+from .matcore import max_abs, same_dim
 from .matcore import is_density, is_projector  # noqa: F401  (perfbench/tracer.py wraps both under quantum's names)
 
 REAL_IMAG_TOL = 1e-12
@@ -38,14 +38,9 @@ class RealityMode(Enum):
     REAL = "real"
 
 
-def enforce_reality(mode: RealityMode, a) -> np.ndarray:
-    """Pass ``a`` through unchanged; under REAL mode reject imaginary parts > 1e-12.
-    ``mode`` is read as ``RealityMode(mode)``, so "real" is REAL; any other value is refused."""
-    return _reality(mode, a, "K")
-
-
 def _reality(mode: RealityMode, a, order: str) -> np.ndarray:
-    """:func:`enforce_reality` of ``a``, admitted by one copy in numpy's ``order``."""
+    """``a`` admitted by one copy in numpy's ``order``; under REAL mode imaginary parts > 1e-12 are refused.
+    ``mode`` is read as ``RealityMode(mode)``, so "real" is REAL; any other value is refused."""
     try:
         mode = RealityMode(mode)
     except ValueError:
@@ -82,9 +77,9 @@ class Sealed:
 class Operator(Sealed):
     """Square complex matrix that passed its class's checks, sealed read-only.
 
-    Each subclass admits its input by one copy through :func:`enforce_reality`,
-    tests it once for a real diagonal, runs its checks on that copy and seals
-    it with ``_seal``, beside ``tol``, the tolerance it passed at. An operator
+    Each subclass admits its input by one copy through :func:`_reality`, in the layout its
+    arithmetic reads, tests it once for a real diagonal, runs its checks on that copy and
+    seals it with ``_seal``, beside ``tol``, the tolerance it passed at. An operator
     derived from operators is validated at the loosest ``tol`` among them.
     """
 
@@ -104,12 +99,13 @@ class Operator(Sealed):
 
 
 class Projector(Operator):
-    """Hermitian idempotent operator, validated once at construction."""
+    """Hermitian idempotent operator, validated once at construction. The matrix is copied
+    once, into row-major order, so ``mat.ravel()`` is a free view, the operand of every trace-rule dot."""
 
     __slots__ = ()
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
-        m, tol = enforce_reality(mode, mat), _tol(tol)
+        m, tol = _reality(mode, mat, "C"), _tol(tol)
         if not _is_projector(m, _real_diagonal(m), tol):
             raise ValidationError("matrix is not a projector (Hermitian idempotent) within tolerance")
         self._seal(m, tol)
@@ -135,9 +131,9 @@ def trace_prob(p: Projector, rho: DensityMatrix) -> float:
     """Probability of the set represented by ``p`` in state ``rho``: Re tr(p rho).
 
     Evaluated as the O(n^2) contraction sum_ij p_ij rho_ji rather than an
-    O(n^3) matrix product: one BLAS dot of p's entries with those of rho^T,
-    a free view of rho's column-major storage (an operand in another layout
-    is copied by ``ravel``). The contraction does not assume Hermiticity:
+    O(n^3) matrix product: one BLAS dot of p's entries, a free view of its
+    row-major storage, with those of rho^T, a free view of rho's
+    column-major storage. The contraction does not assume Hermiticity:
     both operators are Hermitian only to within their tolerance, and the
     Hermitian shortcut sum_ij p_ij conj(rho_ij) would be off by up to
     n * tol.
@@ -160,8 +156,8 @@ def unitary_conjugate(u, a) -> np.ndarray:
 
     Raises NotUnitaryError when |u^dagger u - I|_max > 1e-9, and NonFiniteError when the product overflows.
     """
-    um = as_matrix(u)
-    am = as_matrix(a)
+    um = _admit(u)
+    am = _admit(a)
     same_dim("unitary", um.shape[0], "operand", am.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or nan, refused below
         defect = max_abs(um.conj().T @ um - np.eye(um.shape[0]))
@@ -185,8 +181,8 @@ def check_invariance(p: Projector, rho: DensityMatrix, u) -> float:
 
 def commutes(a, b) -> bool:
     """Whether |ab - ba|_max <= 1e-10 * max(1, |a|_max * |b|_max); NonFiniteError if ab - ba overflows."""
-    am = as_matrix(a)
-    bm = as_matrix(b)
+    am = _admit(a)
+    bm = _admit(b)
     same_dim("a", am.shape[0], "b", bm.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf or nan, refused below
         defect = max_abs(am @ bm - bm @ am)

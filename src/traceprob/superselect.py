@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .matcore import DEFAULT_TOL, _eig, _operand, _real_diagonal, _time, _tol, max_abs, same_dim
 from .matcore import hermitian_eig  # noqa: F401  (perfbench/tracer.py wraps superselect.hermitian_eig)
-from .quantum import DensityMatrix, Operator, Projector, RealityMode, enforce_reality
+from .quantum import DensityMatrix, Operator, Projector, RealityMode, _reality
 
 COMPLIANCE_TOL = 1e-9
 
@@ -41,7 +41,7 @@ class Hamiltonian(Operator):
     __slots__ = ("energies", "eigenvectors", "sectors")
 
     def __init__(self, mat, *, mode: RealityMode = RealityMode.COMPLEX, tol: float = DEFAULT_TOL):
-        m, tol = enforce_reality(mode, mat), _tol(tol)
+        m, tol = _reality(mode, mat, "K"), _tol(tol)  # eigh reads any layout
         values, vectors = _eig(m, _real_diagonal(m), tol)
         object.__setattr__(self, "energies", values)
         object.__setattr__(self, "eigenvectors", vectors)

@@ -19,7 +19,6 @@ from traceprob import (
     PerceptionSet,
     Projector,
     RealityMode,
-    as_matrix,
     energy_blocks,
     trace_prob,
 )
@@ -27,7 +26,7 @@ from traceprob import (
 
 def matrix_to_rows(a) -> list:
     """The spec-file form of a matrix: rows of ``[re, im]`` pairs."""
-    mat = as_matrix(a)
+    mat = np.asarray(a, dtype=complex)
     return np.stack([mat.real, mat.imag], -1).tolist()
 
 

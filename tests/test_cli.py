@@ -982,7 +982,7 @@ def test_sample_on_a_cycle_builds_no_projector_for_its_sets(tmp_path, capsys, mo
     assert built == []
 
 
-@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("n", [4, 16, 64])
 def test_sets_as_vectors_and_as_diagonal_matrices_print_the_same(tmp_path, capsys, n):
     # Three sets partition the basis. The Hamiltonian is diagonal on the first
     # half of it and a random Hermitian block on the rest, so the first set,

@@ -184,7 +184,7 @@ def test_a_diagonal_hamiltonian_and_its_permutation_give_the_same_answers(tmp_pa
 # --- the classical case: a cycle, and the diagonal density of its dwell fractions ---
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", [*SIZES, 256])  # every operator is diagonal, so n=256 stays cheap
 def test_a_cycle_and_its_diagonal_fractions_give_one_trace_rule_column(tmp_path, n):
     # classical builds rho = diag(fractions) itself; the second spec writes that
     # rho out. --json writes each fraction as its repr, which reads back as the

@@ -8,7 +8,7 @@ suite's ``filterwarnings = error`` makes a warning fail it too.
 
 The record type ``SampleReport`` gates its four fields, so it is in the
 table. Left out: the exception classes, which check nothing;
-``RealityMode``, a standard-library Enum whose values ``enforce_reality``
+``RealityMode``, a standard-library Enum whose values every operator class
 gates; and the record type ``SystemSpec``, which holds what the spec-file
 loader built.
 """
@@ -32,7 +32,6 @@ from traceprob import (
     PerceptionSet,
     PovOperator,
     Projector,
-    RealityMode,
     TraceProbError,
     sample_classical,
 )
@@ -78,7 +77,6 @@ VALID = {
     "diag_projector": {"s": SET},
     "dwell_fractions": {"c": CYCLE},
     "time_average_indicator": {"c": CYCLE, "steps": 10},
-    "as_matrix": {"a": np.eye(2)},
     "hermitian_eig": {"a": np.eye(2)},
     "is_density": {"a": np.eye(2) / 2},
     "is_hermitian": {"a": np.eye(2)},
@@ -99,7 +97,6 @@ VALID = {
     "Projector": {"mat": np.diag([1.0, 0.0])},
     "check_invariance": {"p": UP, "rho": RHO, "u": np.eye(2)},
     "commutes": {"a": np.eye(2), "b": np.eye(2)},
-    "enforce_reality": {"mode": RealityMode.REAL, "a": np.eye(2)},
     "projector_meet": {"p": UP, "q": UP},
     "trace_prob": {"p": UP, "rho": RHO},
     "unitary_conjugate": {"u": np.eye(2), "a": np.eye(2)},

@@ -33,7 +33,6 @@ from traceprob import (
     Projector,
     RealityMode,
     ValidationError,
-    as_matrix,
     char_and,
     check_invariance,
     classical_density,
@@ -46,7 +45,6 @@ from traceprob import (
     diag_projector,
     dwell_fractions,
     energy_blocks,
-    enforce_reality,
     evolve,
     hermitian_eig,
     is_density,
@@ -67,23 +65,26 @@ from traceprob import (
     union_operator,
     unitary_conjugate,
 )
-from traceprob import matcore
+from traceprob import matcore, quantum
 from traceprob.classical import MAX_STEPS
 from traceprob.matcore import hermiticity_defect, idempotency_defect, min_eigenvalue
 
 
+# The copying form of the one matrix gate, the form every operator constructor admits its input by.
 def test_as_matrix_rejects_non_square():
     with pytest.raises(ValidationError):
-        as_matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        matcore._admit([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], copy=True)
     with pytest.raises(ValidationError):
-        as_matrix([1.0, 2.0])
+        matcore._admit([1.0, 2.0], copy=True)
 
 
 def test_as_matrix_rejects_non_finite():
     with pytest.raises(ValidationError):
-        as_matrix([[np.nan, 0.0], [0.0, 1.0]])
+        matcore._admit([[np.nan, 0.0], [0.0, 1.0]], copy=True)
     with pytest.raises(ValidationError):
-        as_matrix([[1.0, np.inf], [0.0, 1.0]])
+        matcore._admit([[1.0, np.inf], [0.0, 1.0]], copy=True)
+    with pytest.raises(ValidationError):
+        matcore._admit([[1.0, complex(0.0, np.nan)], [0.0, 1.0]], copy=True)
 
 
 def test_trace_identity():
@@ -458,6 +459,52 @@ def test_each_operator_admits_its_input_once(monkeypatch, cls, form):
     assert op.mat.flags.f_contiguous if cls is DensityMatrix else op.mat.flags.c_contiguous
 
 
+@pytest.mark.parametrize("cls", [Projector, PovOperator, DensityMatrix], ids=lambda cls: cls.__name__)
+def test_each_operator_is_laid_out_for_the_dot_that_reads_it(cls):
+    # From a column-major input, the adjoint of a row-major one: trace_prob and the algebra's
+    # expectations read mat.ravel() of a projector or atom and mat.T.ravel() of a state.
+    a = OPERATOR_INPUTS[cls][0].conj().T
+    assert a.flags.f_contiguous and not a.flags.c_contiguous
+    mat = cls(a).mat
+    assert mat.tobytes() == a.tobytes()  # the same values, bit for bit
+    if cls is DensityMatrix:
+        assert mat.flags.f_contiguous and np.shares_memory(mat.T.ravel(), mat)
+    else:
+        assert mat.flags.c_contiguous and np.shares_memory(mat.ravel(), mat)
+
+
+P_8 = Projector(OPERATOR_INPUTS[Projector][0])
+RHO_8 = DensityMatrix(OPERATOR_INPUTS[DensityMatrix][0])
+H_8 = Hamiltonian(OPERATOR_INPUTS[Hamiltonian][0])
+ALGEBRA_8 = PerceptionAlgebra([("a", PovOperator(OPERATOR_INPUTS[PovOperator][0])), ("b", PovOperator(np.eye(8)))])
+# Each call and the copies it makes: one per operator it builds, none of an operand it only reads.
+COPIES = {
+    "commutes": (lambda: commutes(P_8.mat, P_8.mat), 0),
+    "unitary-conjugate": (lambda: unitary_conjugate(np.eye(8), P_8.mat), 0),
+    "projector-meet": (lambda: projector_meet(P_8, P_8), 1),
+    "check-invariance": (lambda: check_invariance(P_8, RHO_8, np.eye(8)), 2),
+    "evolve": (lambda: evolve(RHO_8, H_8, 1.0), 1),
+    "dephase": (lambda: dephase(RHO_8, H_8), 1),
+    "union-operator": (lambda: union_operator(ALGEBRA_8, ["a", "b"]), 1),
+}
+
+
+@pytest.mark.parametrize("call, want", COPIES.values(), ids=COPIES.keys())
+def test_a_matrix_is_copied_only_for_an_operator_built(monkeypatch, call, want):
+    # quantum binds _admit by name, so both bindings are spied on.
+    copies = []
+    original = matcore._admit
+
+    def spy(a, copy=False, order="K"):
+        copies.append(copy)
+        return original(a, copy, order)
+
+    for module in (matcore, quantum):
+        monkeypatch.setattr(module, "_admit", spy)
+    call()
+    assert copies.count(True) == want
+
+
 HALF_2 = DensityMatrix(np.eye(2) / 2)
 ZERO_H_2 = Hamiltonian(np.zeros((2, 2)))
 ZERO_H_3 = Hamiltonian(np.zeros((3, 3)))
@@ -640,9 +687,11 @@ MALFORMED = {
 }
 
 ONE = np.eye(1)
+# The first two keys name the gate's copying form and its mode rule by the public names these had,
+# so that each case keeps its id.
 ADMITTERS = {
-    "as_matrix": as_matrix,
-    "enforce_reality": lambda m: enforce_reality(RealityMode.COMPLEX, m),
+    "as_matrix": lambda m: matcore._admit(m, copy=True),
+    "enforce_reality": lambda m: quantum._reality(RealityMode.COMPLEX, m, "K"),
     "Projector": Projector,
     "DensityMatrix": DensityMatrix,
     "PovOperator": PovOperator,
@@ -691,7 +740,7 @@ NUMERIC = {
 
 @pytest.mark.parametrize("a", NUMERIC.values(), ids=NUMERIC.keys())
 def test_numeric_input_is_admitted_bit_identically(a):
-    got = as_matrix(a)
+    got = matcore._admit(a, copy=True)
     want = np.array(a, dtype=complex)
     assert got.dtype == complex and got.shape == want.shape
     assert got.tobytes() == want.tobytes()  # the sign of zero included
@@ -699,8 +748,7 @@ def test_numeric_input_is_admitted_bit_identically(a):
         assert not np.shares_memory(got, a)
 
 
-def test_matrix_from_rows_admits_the_buffer_it_built_without_a_copy(monkeypatch):
-    monkeypatch.setattr(matcore, "as_matrix", None)  # a call would fail
+def test_matrix_from_rows_admits_the_buffer_it_built_without_a_copy():
     built = matrix_from_rows(matrix_to_rows(np.diag([1.0, 2j])))
     assert not built.flags.owndata  # a view of the parsed numbers
     assert built.tobytes() == np.diag([1.0, 2j]).tobytes()

@@ -43,7 +43,6 @@ from traceprob import (
     commutes,
     dephase,
     diag_projector,
-    enforce_reality,
     max_abs,
     projector_meet,
     trace,
@@ -52,7 +51,7 @@ from traceprob import (
     unitary_conjugate,
 )
 from traceprob.matcore import DEFAULT_TOL, relative_bound
-from traceprob.quantum import bounded
+from traceprob.quantum import _reality, bounded
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 PLUS_STATE = np.full((2, 2), 0.5)  # projector onto (1,1)/sqrt(2), also a pure density
@@ -255,13 +254,14 @@ def test_real_mode_construction():
         DensityMatrix(complex_projector, mode=RealityMode.REAL)
 
 
+# The mode rule every operator class admits its input through.
 def test_enforce_reality_examples():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(enforce_reality(RealityMode.REAL, a), a.astype(complex))
+    np.testing.assert_array_equal(_reality(RealityMode.REAL, a, "K"), a.astype(complex))
     with pytest.raises(NotRealError):
-        enforce_reality(RealityMode.REAL, np.array([[0.0, 1j], [-1j, 0.0]]))
+        _reality(RealityMode.REAL, np.array([[0.0, 1j], [-1j, 0.0]]), "K")
     b = np.array([[0.0, 1j], [-1j, 0.0]])
-    np.testing.assert_array_equal(enforce_reality(RealityMode.COMPLEX, b), b)
+    np.testing.assert_array_equal(_reality(RealityMode.COMPLEX, b, "K"), b)
 
 
 # A projector, a density matrix, a POV operator and a Hamiltonian alike, with imaginary parts.
@@ -271,7 +271,7 @@ MODE_GATES = {
     "DensityMatrix": lambda mode: DensityMatrix(COMPLEX_PLUS, mode=mode),
     "PovOperator": lambda mode: PovOperator(COMPLEX_PLUS, mode=mode),
     "Hamiltonian": lambda mode: Hamiltonian(COMPLEX_PLUS, mode=mode),
-    "enforce_reality": lambda mode: enforce_reality(mode, COMPLEX_PLUS),
+    "enforce_reality": lambda mode: _reality(mode, COMPLEX_PLUS, "K"),  # the rule the four share, by its old name
 }
 
 
